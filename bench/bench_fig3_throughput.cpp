@@ -144,7 +144,7 @@ int main() {
     }
   }
   // The paper's full x-axis over TCP (Figure 3 runs to 256 executors). The
-  // reactor makes the dispatcher side cost loops + pool regardless of N, so
+  // reactor makes the dispatcher side cost loop + pool regardless of N, so
   // this curve now completes on a single-core host; scripts/bench.sh gates
   // only on the 1/4-executor points above, these columns are informational.
   struct CurvePoint {

@@ -36,6 +36,11 @@
 # TCP suite again under TSan in the opt-in pass (digest application races
 # the router's holder index; evictions race in-flight routing decisions).
 #
+# An optional flake hunt (`scripts/ci.sh flakes`) re-runs the tier-1
+# suites up to 20 times each at twice the core count in parallel, stopping
+# at the first failure: a test that only fails on a loaded host shows up
+# here instead of as a one-in-N red run.
+#
 # An optional coverage pass (`scripts/ci.sh coverage`) builds with gcov
 # instrumentation, runs the tier-1 + prop suites, and reports line/branch
 # coverage via gcovr when the tool is installed — informational only,
@@ -44,6 +49,17 @@ set -eu
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
+
+# run_filtered BINARY MIN_TESTS FILTER: run a gtest binary under FILTER,
+# failing first if the filter selects fewer than MIN_TESTS tests.
+run_filtered() {
+  matched="$("$1" --gtest_list_tests --gtest_filter="$3" | grep -c '^  ' || true)"
+  if [ "$matched" -lt "$2" ]; then
+    echo "$1: filter '$3' matches $matched tests, expected >= $2" >&2
+    exit 1
+  fi
+  "$1" --gtest_filter="$3"
+}
 
 echo "== Release build + ctest =="
 cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
@@ -78,17 +94,15 @@ echo "== Data-diffusion suite under ASan+UBSan =="
 # the suites to re-run by themselves when touching the data plane.
 ctest --test-dir build-ci-asan --output-on-failure -L data
 
-echo "== Net + TCP suites with 2 reactor loops forced =="
-# FALKON_REACTOR_LOOPS=2 (see core/service_tcp.h) overrides the auto loop
-# count, so the multi-loop reactor paths — cross-loop accept handoff,
-# affinity migration, sibling listeners, push-stream drains racing loop
-# threads — run even on single-core CI hosts where auto resolves to 1.
-FALKON_REACTOR_LOOPS=2 \
-  ctest --test-dir build-ci-asan --output-on-failure -R 'test_net$|test_tcp'
-
 if [ "${1:-}" = "bench" ]; then
   echo "== Benchmark gate =="
   scripts/bench.sh
+fi
+
+if [ "${1:-}" = "flakes" ]; then
+  echo "== Flake hunt: tier-1 repeated under 2x-oversubscribed ctest =="
+  ctest --test-dir build-ci-release --output-on-failure -L 'unit|integration' \
+        --repeat until-fail:20 -j "$((2 * JOBS))"
 fi
 
 if [ "${1:-}" = "coverage" ]; then
@@ -114,24 +128,24 @@ if [ "${1:-}" = "tsan" ]; then
   cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DFALKON_TSAN=ON >/dev/null
   cmake --build build-ci-tsan -j "$JOBS"
-  # test_net/test_tcp cover the reactor: loop threads owning disjoint
-  # connection sets while producers append to outboxes and handlers run on
-  # the pool — exactly the sharing TSan is for. (test_net$ keeps the
+  # test_net/test_tcp cover the reactor: the loop thread owning every
+  # connection while producers append to outboxes and handlers run on the
+  # pool — exactly the sharing TSan is for. (test_net$ keeps the
   # 10k-connection test_net_soak out of the TSan pass: 20k fds at TSan
   # slowdown blows the time budget without adding new interleavings.)
   ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \
         -R 'test_obs|test_dispatcher|test_executor|test_stress|test_net$|test_tcp|test_wal|test_ha|test_dataaware'
-  echo "== Sharded-reactor suites under TSan =="
-  # The multi-loop paths alone first, so a race report names the shard
-  # machinery (accept handoff, set_affinity migration, cross-thread flush
-  # routing, per-loop buffer pools) instead of being buried in the suite.
-  build-ci-tsan/tests/test_net --gtest_filter='Reactor.*:Rpc.AffinityKeyPinsConnectionsToKeyedLoop:Rpc.WatermarkBackpressureIsolatedPerLoop:Rpc.AcceptBackoffRecoversWithShardedLoops:Push.NotifyFromForeignThreadLandsOnOwningLoop'
-  echo "== Net + TCP suites with 2 reactor loops forced under TSan =="
-  # Same forced multi-loop coverage as the ASan stage: the streaming
-  # client's receiver thread, the dispatcher's stream drain and two loop
-  # threads all touch the mailbox/cursor state this PR added.
-  FALKON_REACTOR_LOOPS=2 \
-    ctest --test-dir build-ci-tsan --output-on-failure -R 'test_net$|test_tcp'
+  echo "== Reactor cross-thread suites under TSan =="
+  # The reactor's cross-thread paths alone first, so a race report names
+  # them (producers appending to outboxes and requesting flushes from
+  # handler and dispatcher threads, handlers recycling into the buffer
+  # pool, the accept-backoff timer) instead of being buried in the suite.
+  # run_filtered fails if a filter matches fewer tests than it names: a
+  # filter that matches nothing would otherwise pass silently.
+  run_filtered build-ci-tsan/tests/test_net 5 \
+    'Reactor.*:Rpc.PipelinedCallsShareOneConnection:Rpc.WatermarkBackpressureIsolatedPerConnection:Rpc.AcceptBackoffOnFdExhaustionThenRecovers:Push.NotifyFromForeignThreadReachesEverySubscriber'
+  run_filtered build-ci-tsan/tests/test_tcp 1 \
+    'TcpSharedConnection.ManyExecutorIdsShareOneRpcAndOnePushConnection'
   echo "== Election and split-brain regression under TSan =="
   # The election path is all cross-thread: tail threads answering
   # ElectionPing while the failover timer promotes, two standbys racing

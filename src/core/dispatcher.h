@@ -305,13 +305,6 @@ class Dispatcher {
   // ---- provisioner operations ----
   [[nodiscard]] DispatcherStatus status() const;
 
-  /// Number of executor-registry shards (config.executor_shards clamped).
-  /// Transport layers align their event-loop partitioning with this so an
-  /// executor's notify/push stays within one shard end to end.
-  [[nodiscard]] std::size_t executor_shard_count() const {
-    return shard_count_;
-  }
-
   /// Replay policy enforcement: requeue dispatched tasks whose response
   /// timeout elapsed; tasks already out of retry budget are failed
   /// permanently so they cannot linger on a black-holed executor forever.

@@ -33,25 +33,16 @@ inline constexpr std::uint64_t kClientKeyBase = 1ULL << 62;
 class TcpDispatcherServer {
  public:
   /// `obs` (optional) receives RPC/push counters: falkon.net.rpc.requests,
-  /// falkon.net.rpc.errors, falkon.net.push.notifications.
+  /// falkon.net.rpc.errors, falkon.net.push.notifications. Both ports are
+  /// served by one reactor loop.
   ///
-  /// `reactor_loops` controls how many independent event loops serve the
-  /// two ports. 0 (the default) aligns with the dispatcher: one loop per
-  /// hardware thread, capped at the dispatcher's executor-shard count so
-  /// the loop partition (executor id % n_loops) nests inside the registry
-  /// partition (executor id % shards) and an executor's notify/push never
-  /// crosses shards. Explicit values are clamped to [1, executor shards].
-  ///
-  /// `reuseport` switches both ports to SO_REUSEPORT accept mode: one
-  /// sibling listener per reactor loop, kernel-balanced accepts, and each
-  /// accepted connection stays on the loop that accepted it (no cross-
-  /// thread handoff). The FALKON_REUSEPORT environment variable (any
-  /// non-empty value but "0") forces it on — CI uses this to run the whole
-  /// TCP suite in reuseport mode.
+  /// The third parameter is ignored. It is vestigial — the reactor once
+  /// took a loop count here — and is kept only so the perfbench host,
+  /// which passes 1, still compiles; the next change to perfbench drops
+  /// the argument and this parameter with it.
   explicit TcpDispatcherServer(Dispatcher& dispatcher,
                                obs::Obs* obs = nullptr,
-                               int reactor_loops = 0,
-                               bool reuseport = false);
+                               int /*ignored*/ = 0);
   ~TcpDispatcherServer();
 
   TcpDispatcherServer(const TcpDispatcherServer&) = delete;
@@ -65,9 +56,6 @@ class TcpDispatcherServer {
 
   [[nodiscard]] std::uint16_t rpc_port() const { return rpc_.port(); }
   [[nodiscard]] std::uint16_t push_port() const { return push_.port(); }
-  /// The shared event-loop reactor (introspection: loop count, connection
-  /// distribution). Valid between construction and destruction.
-  [[nodiscard]] net::Reactor& reactor() { return reactor_; }
 
   /// Serve ReplFetch/ReplAck from this source (typically the dispatcher's
   /// ha::Journal), enabling a warm standby to tail the log over the RPC

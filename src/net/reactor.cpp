@@ -30,35 +30,21 @@ constexpr std::size_t kReadBudget = 256 * 1024;
 constexpr int kIdleTimeoutMs = 100;
 constexpr double kAcceptBackoffMinS = 0.05;
 constexpr double kAcceptBackoffMaxS = 1.0;
-// Minimum spacing between shrink-on-idle pool trims per loop.
+// Minimum spacing between shrink-on-idle pool trims.
 constexpr double kPoolTrimIntervalS = 1.0;
-
-// Which reactor loop the current thread is, if it is a loop thread at all.
-// Reuseport accept mode uses this to keep a kernel-balanced accepted
-// connection on the loop whose listener accepted it (void* because
-// Reactor::Loop is private at namespace scope).
-thread_local const void* tls_reactor = nullptr;
-thread_local void* tls_loop = nullptr;
 
 }  // namespace
 
-struct Reactor::Timer {
-  TimerId id{0};
-  std::uint64_t deadline_tick{0};
-  double period_s{0.0};  // > 0: periodic
-  TimerFn fn;
-};
-
-/// Size-classed free lists of byte buffers, one pool per loop. The owning
-/// loop thread is the dominant caller (decode buffers, write completions,
-/// close-time recycle) but producers acquire send chunks and handlers may
-/// recycle decoded payloads from pool threads, so the pool keeps its own
-/// leaf mutex — never held while any other lock is taken.
+/// Size-classed free lists of byte buffers. The loop thread is the
+/// dominant caller (decode buffers, write completions, close-time recycle)
+/// but producers acquire send chunks and handlers may recycle decoded
+/// payloads from pool threads, so the pool keeps its own leaf mutex —
+/// never held while any other lock is taken.
 struct Reactor::BufferPool {
   static constexpr std::size_t kNClasses = 7;
   static constexpr std::size_t kClassBytes[kNClasses] = {
       256, 1u << 10, 4u << 10, 16u << 10, 64u << 10, 256u << 10, 1u << 20};
-  /// Per-class retention cap: bounds worst-case pooled memory per loop at
+  /// Per-class retention cap: bounds worst-case pooled memory at
   /// sum(class_bytes) * kMaxPerClass (~43 MB) though trim-on-idle keeps the
   /// steady state far below it.
   static constexpr std::size_t kMaxPerClass = 64;
@@ -134,8 +120,8 @@ struct Reactor::BufferPool {
     }
   }
 
-  /// Shrink-on-idle: drop half of every free list (called from the owning
-  /// loop when epoll has been idle), so a burst's buffers drain back to the
+  /// Shrink-on-idle: drop half of every free list (called from the loop
+  /// when epoll has been idle), so a burst's buffers drain back to the
   /// allocator instead of sitting hot forever.
   void trim(Reactor& reactor) {
     std::int64_t freed = 0;
@@ -163,42 +149,24 @@ struct Reactor::BufferPool {
 
 constexpr std::size_t Reactor::BufferPool::kClassBytes[];
 
-struct Reactor::Loop {
-  // Hashed timer wheel: 1 ms ticks over 512 slots; entries keep an absolute
-  // deadline tick so multi-rotation timers just stay in their slot until the
-  // cursor passes them with the right deadline.
-  static constexpr std::size_t kWheelSlots = 512;
+/// Hashed timer wheel: 1 ms ticks over 512 slots; entries keep an absolute
+/// deadline tick so multi-rotation timers just stay in their slot until the
+/// cursor passes them with the right deadline. Loop-thread-only.
+struct Reactor::TimerWheel {
+  static constexpr std::size_t kSlots = 512;
   static constexpr double kTickS = 0.001;
 
-  Reactor* reactor{nullptr};
-  int index{0};
-  int epfd{-1};
-  int evfd{-1};
-  std::thread thread;
-
-  std::mutex ops_mu;
-  std::vector<std::function<void()>> ops;
-  /// Flush requests: the allocation-free fast path for "this connection has
-  /// output queued" — a shared_ptr enqueue instead of a std::function per
-  /// send. Drained alongside ops, same eventfd wake.
-  std::vector<std::shared_ptr<Conn>> flush_q;
-  bool wake_pending{false};
-  bool stopped{false};
-
-  // ---- loop-thread-only ----
-  std::unordered_map<int, std::shared_ptr<Conn>> conns;
-  struct ListenerState {
-    AcceptHandler on_accept;
-    bool armed{true};
-    double backoff_s{0.0};
+  struct Timer {
+    TimerId id{0};
+    std::uint64_t deadline_tick{0};
+    double period_s{0.0};  // > 0: periodic
+    TimerFn fn;
   };
-  std::unordered_map<int, ListenerState> listeners;
-  std::array<std::vector<Timer>, kWheelSlots> wheel;
+
+  std::array<std::vector<Timer>, kSlots> slots;
   std::size_t n_timers{0};
   std::uint64_t cursor_tick{0};
-  std::chrono::steady_clock::time_point t0;
-  BufferPool pool;
-  double last_trim_s{0.0};
+  std::chrono::steady_clock::time_point t0{std::chrono::steady_clock::now()};
 
   [[nodiscard]] double now_s() const {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -208,13 +176,24 @@ struct Reactor::Loop {
     return static_cast<std::uint64_t>(now_s() / kTickS);
   }
 
+  /// Schedule `fn` ~delay_s from now (period_s > 0 repeats it).
+  void insert(TimerId id, double delay_s, double period_s, TimerFn fn) {
+    Timer timer;
+    timer.id = id;
+    timer.period_s = period_s;
+    timer.fn = std::move(fn);
+    auto ticks = static_cast<std::uint64_t>(delay_s / kTickS);
+    timer.deadline_tick = now_tick() + std::max<std::uint64_t>(1, ticks);
+    insert_timer(std::move(timer));
+  }
+
   void insert_timer(Timer timer) {
-    wheel[timer.deadline_tick % kWheelSlots].push_back(std::move(timer));
+    slots[timer.deadline_tick % kSlots].push_back(std::move(timer));
     ++n_timers;
   }
 
-  void remove_timer(TimerId id) {
-    for (auto& slot : wheel) {
+  void remove(TimerId id) {
+    for (auto& slot : slots) {
       for (std::size_t i = 0; i < slot.size(); ++i) {
         if (slot[i].id == id) {
           slot.erase(slot.begin() + static_cast<std::ptrdiff_t>(i));
@@ -225,9 +204,14 @@ struct Reactor::Loop {
     }
   }
 
+  void clear() {
+    for (auto& slot : slots) slot.clear();
+    n_timers = 0;
+  }
+
   /// Fire every timer whose deadline has passed. Periodic timers re-insert
   /// themselves; fns run after extraction so they may add or cancel timers.
-  void advance_timers() {
+  void advance() {
     if (n_timers == 0) {
       cursor_tick = now_tick();
       return;
@@ -236,7 +220,7 @@ struct Reactor::Loop {
     std::vector<Timer> due;
     while (cursor_tick < target) {
       ++cursor_tick;
-      auto& slot = wheel[cursor_tick % kWheelSlots];
+      auto& slot = slots[cursor_tick % kSlots];
       for (std::size_t i = 0; i < slot.size();) {
         if (slot[i].deadline_tick <= cursor_tick) {
           due.push_back(std::move(slot[i]));
@@ -263,7 +247,7 @@ struct Reactor::Loop {
   [[nodiscard]] int next_timeout_ms() const {
     if (n_timers == 0) return kIdleTimeoutMs;
     std::uint64_t nearest = UINT64_MAX;
-    for (const auto& slot : wheel) {
+    for (const auto& slot : slots) {
       for (const auto& timer : slot) {
         nearest = std::min(nearest, timer.deadline_tick);
       }
@@ -275,8 +259,10 @@ struct Reactor::Loop {
   }
 };
 
-Reactor::Reactor(ReactorOptions options) : options_(options) {
-  if (options_.n_loops < 1) options_.n_loops = 1;
+Reactor::Reactor(ReactorOptions options)
+    : options_(options),
+      timers_(std::make_unique<TimerWheel>()),
+      pool_(std::make_unique<BufferPool>()) {
   if (options_.low_watermark_bytes > options_.high_watermark_bytes) {
     options_.low_watermark_bytes = options_.high_watermark_bytes / 2;
   }
@@ -286,7 +272,6 @@ Reactor::Reactor(ReactorOptions options) : options_(options) {
     m_accept_rejected_ = &reg.counter("falkon.net.accept_rejected");
     m_read_paused_ = &reg.counter("falkon.net.reactor.read_paused");
     m_coalesced_ = &reg.counter("falkon.net.frames_coalesced");
-    m_migrations_ = &reg.counter("falkon.net.reactor.migrations");
     m_pool_hits_ = &reg.counter("falkon.net.pool.hits");
     m_pool_misses_ = &reg.counter("falkon.net.pool.misses");
     m_pool_trims_ = &reg.counter("falkon.net.pool.trims");
@@ -299,34 +284,39 @@ Reactor::Reactor(ReactorOptions options) : options_(options) {
   }
 }
 
-Reactor::~Reactor() { stop(); }
+Reactor::~Reactor() {
+  stop();
+  if (epfd_ >= 0) ::close(epfd_);
+  if (evfd_ >= 0) ::close(evfd_);
+}
 
 Status Reactor::start() {
   if (started_) return ok_status();
-  for (int i = 0; i < options_.n_loops; ++i) {
-    auto loop = std::make_unique<Loop>();
-    loop->reactor = this;
-    loop->index = i;
-    loop->t0 = std::chrono::steady_clock::now();
-    loop->epfd = ::epoll_create1(EPOLL_CLOEXEC);
-    loop->evfd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (loop->epfd < 0 || loop->evfd < 0) {
-      if (loop->epfd >= 0) ::close(loop->epfd);
-      if (loop->evfd >= 0) ::close(loop->evfd);
-      loops_.clear();
+  // The epoll fd and eventfd live as long as the reactor, not one run of
+  // the loop: a producer that queued its op just before the loop stopped
+  // may still be writing its wakeup, and must never hit a closed (or
+  // reused) descriptor.
+  if (epfd_ < 0) {
+    epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
+    evfd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (epfd_ < 0 || evfd_ < 0) {
+      const std::string why = std::strerror(errno);
+      if (epfd_ >= 0) ::close(epfd_);
+      if (evfd_ >= 0) ::close(evfd_);
+      epfd_ = evfd_ = -1;
       return make_error(ErrorCode::kIoError,
-                        "reactor: epoll/eventfd setup failed: " +
-                            std::string(std::strerror(errno)));
+                        "reactor: epoll/eventfd setup failed: " + why);
     }
     epoll_event ev{};
     ev.events = EPOLLIN;
-    ev.data.fd = loop->evfd;
-    ::epoll_ctl(loop->epfd, EPOLL_CTL_ADD, loop->evfd, &ev);
-    loops_.push_back(std::move(loop));
+    ev.data.fd = evfd_;
+    ::epoll_ctl(epfd_, EPOLL_CTL_ADD, evfd_, &ev);
   }
-  for (auto& loop : loops_) {
-    loop->thread = std::thread([this, raw = loop.get()] { run_loop(*raw); });
+  {
+    std::lock_guard<std::mutex> lock(ops_mu_);
+    stopped_ = false;
   }
+  thread_ = std::thread([this] { run_loop(); });
   started_ = true;
   return ok_status();
 }
@@ -334,128 +324,47 @@ Status Reactor::start() {
 void Reactor::stop() {
   if (!started_) return;
   stopping_.store(true, std::memory_order_release);
-  for (auto& loop : loops_) {
-    std::uint64_t one = 1;
-    [[maybe_unused]] auto n = ::write(loop->evfd, &one, sizeof(one));
-  }
-  for (auto& loop : loops_) {
-    if (loop->thread.joinable()) loop->thread.join();
-    ::close(loop->epfd);
-    ::close(loop->evfd);
-  }
-  loops_.clear();
-  {
-    std::lock_guard<std::mutex> lock(homes_mu_);
-    timer_home_.clear();
-    listener_home_.clear();
-  }
+  std::uint64_t one = 1;
+  [[maybe_unused]] auto n = ::write(evfd_, &one, sizeof(one));
+  if (thread_.joinable()) thread_.join();
+  timers_->clear();
   started_ = false;
   stopping_.store(false, std::memory_order_release);
 }
 
-Reactor::Loop& Reactor::loop_for_new_conn() {
-  if (options_.reuseport && tls_reactor == this && tls_loop != nullptr) {
-    // Reuseport accept mode: the kernel already load-balanced this
-    // connection onto the accepting loop's listener — adopting it right
-    // here skips the cross-thread handoff.
-    return *static_cast<Loop*>(tls_loop);
-  }
-  const std::size_t i =
-      next_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();
-  return *loops_[i];
-}
-
-Reactor::Loop& Reactor::loop_for_key(std::uint64_t key) {
-  return *loops_[key % loops_.size()];
-}
-
-bool Reactor::post(Loop& loop, std::function<void()> op) {
+bool Reactor::post(std::function<void()> op) {
   bool wake = false;
   {
-    std::lock_guard<std::mutex> lock(loop.ops_mu);
-    if (loop.stopped) return false;
-    loop.ops.push_back(std::move(op));
-    if (!loop.wake_pending) {
-      loop.wake_pending = true;
+    std::lock_guard<std::mutex> lock(ops_mu_);
+    if (stopped_) return false;
+    ops_.push_back(std::move(op));
+    if (!wake_pending_) {
+      wake_pending_ = true;
       wake = true;
     }
   }
   if (wake) {
     std::uint64_t one = 1;
-    [[maybe_unused]] auto n = ::write(loop.evfd, &one, sizeof(one));
+    [[maybe_unused]] auto n = ::write(evfd_, &one, sizeof(one));
   }
   return true;
 }
 
 void Reactor::request_flush(const std::shared_ptr<Conn>& conn) {
-  Loop* target = conn->loop_.load(std::memory_order_acquire);
-  if (target == nullptr) return;
   bool wake = false;
   {
-    std::lock_guard<std::mutex> lock(target->ops_mu);
+    std::lock_guard<std::mutex> lock(ops_mu_);
     // A stopped loop closes every connection on shutdown; nothing to flush.
-    if (target->stopped) return;
-    target->flush_q.push_back(conn);
-    if (!target->wake_pending) {
-      target->wake_pending = true;
+    if (stopped_) return;
+    flush_q_.push_back(conn);
+    if (!wake_pending_) {
+      wake_pending_ = true;
       wake = true;
     }
   }
   if (wake) {
     std::uint64_t one = 1;
-    [[maybe_unused]] auto n = ::write(target->evfd, &one, sizeof(one));
-  }
-}
-
-void Reactor::post_to_owner(
-    const std::shared_ptr<Conn>& conn,
-    std::function<void(Loop&, const std::shared_ptr<Conn>&)> op) {
-  Loop* target = conn->loop_.load(std::memory_order_acquire);
-  if (target == nullptr) return;
-  post(*target, [this, target, conn, op = std::move(op)]() mutable {
-    // A migration may have rebound the connection between enqueue and
-    // execution; chase it to the current owner so the op never touches a
-    // loop that no longer holds the fd.
-    if (conn->loop_.load(std::memory_order_acquire) != target) {
-      post_to_owner(conn, std::move(op));
-      return;
-    }
-    op(*target, conn);
-  });
-}
-
-void Reactor::migrate(Loop& from, const std::shared_ptr<Conn>& conn,
-                      Loop& target) {
-  if (&from == &target || conn->closed_) return;
-  if (!conn->registered_) {
-    // Adoption registration always lands before any migration op on the
-    // same queue; an unregistered conn here means registration failed —
-    // just retarget the pointer.
-    conn->loop_.store(&target, std::memory_order_release);
-    return;
-  }
-  ::epoll_ctl(from.epfd, EPOLL_CTL_DEL, conn->fd_, nullptr);
-  from.conns.erase(conn->fd_);
-  conn->loop_.store(&target, std::memory_order_release);
-  if (m_migrations_ != nullptr) m_migrations_->inc();
-  const bool posted = post(target, [this, &target, conn] {
-    if (conn->closed_) return;
-    epoll_event ev{};
-    ev.events = 0;
-    if (conn->read_on_ && !conn->read_paused_bp_) ev.events |= EPOLLIN;
-    if (conn->epollout_) ev.events |= EPOLLOUT;
-    ev.data.fd = conn->fd_;
-    if (::epoll_ctl(target.epfd, EPOLL_CTL_ADD, conn->fd_, &ev) != 0) {
-      do_close(target, conn);
-      return;
-    }
-    target.conns[conn->fd_] = conn;
-    loop_flush(target, conn);  // output may have queued mid-migration
-  });
-  if (!posted) {
-    // Target loop already shut down; sever here (do_close tolerates the fd
-    // being absent from this loop's registry).
-    do_close(from, conn);
+    [[maybe_unused]] auto n = ::write(evfd_, &one, sizeof(one));
   }
 }
 
@@ -466,17 +375,8 @@ std::shared_ptr<Reactor::Conn> Reactor::adopt(int fd, FrameHandler on_frame,
   conn->fd_ = fd;
   conn->on_frame_ = std::move(on_frame);
   conn->on_close_ = std::move(on_close);
-  if (loops_.empty()) {
-    ::close(fd);
-    std::lock_guard<std::mutex> lock(conn->mu_);
-    conn->dead_ = true;
-    conn->fd_ = -1;
-    return conn;
-  }
-  Loop& loop = loop_for_new_conn();
-  conn->loop_.store(&loop, std::memory_order_release);
   (void)set_nonblocking(fd);
-  const bool posted = post(loop, [this, &loop, conn] {
+  const bool posted = post([this, conn] {
     bool dead;
     {
       std::lock_guard<std::mutex> lock(conn->mu_);
@@ -490,23 +390,23 @@ std::shared_ptr<Reactor::Conn> Reactor::adopt(int fd, FrameHandler on_frame,
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = conn->fd_;
-    if (::epoll_ctl(loop.epfd, EPOLL_CTL_ADD, conn->fd_, &ev) != 0) {
+    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, conn->fd_, &ev) != 0) {
       ::close(conn->fd_);
       conn->fd_ = -1;
       std::lock_guard<std::mutex> lock(conn->mu_);
       conn->dead_ = true;
       return;
     }
-    loop.conns[conn->fd_] = conn;
+    conns_[conn->fd_] = conn;
     conn->registered_ = true;
     open_conns_.fetch_add(1, std::memory_order_relaxed);
     if (m_connections_ != nullptr) {
       m_connections_->set(static_cast<double>(
           open_conns_.load(std::memory_order_relaxed)));
     }
-    loop_flush(loop, conn);  // sends may have queued before registration
+    loop_flush(conn);  // sends may have queued before registration
   });
-  if (!posted) {
+  if (!posted) {  // loop not running
     ::close(fd);
     std::lock_guard<std::mutex> lock(conn->mu_);
     conn->dead_ = true;
@@ -516,187 +416,96 @@ std::shared_ptr<Reactor::Conn> Reactor::adopt(int fd, FrameHandler on_frame,
 }
 
 void Reactor::add_listener(int listen_fd, AcceptHandler on_accept) {
-  if (loops_.empty()) return;
-  const std::size_t index =
-      next_listener_loop_.fetch_add(1, std::memory_order_relaxed) %
-      loops_.size();
-  Loop& loop = *loops_[index];
-  {
-    std::lock_guard<std::mutex> lock(homes_mu_);
-    listener_home_[listen_fd] = static_cast<int>(index);
-  }
   (void)set_nonblocking(listen_fd);
-  post(loop, [this, &loop, listen_fd, handler = std::move(on_accept)]() mutable {
+  post([this, listen_fd, handler = std::move(on_accept)]() mutable {
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = listen_fd;
-    if (::epoll_ctl(loop.epfd, EPOLL_CTL_ADD, listen_fd, &ev) != 0) return;
-    Loop::ListenerState state;
+    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, listen_fd, &ev) != 0) return;
+    ListenerState state;
     state.on_accept = std::move(handler);
-    loop.listeners.emplace(listen_fd, std::move(state));
+    listeners_.emplace(listen_fd, std::move(state));
   });
 }
 
 void Reactor::remove_listener(int listen_fd) {
-  if (loops_.empty()) return;
-  int index = 0;
-  {
-    std::lock_guard<std::mutex> lock(homes_mu_);
-    auto it = listener_home_.find(listen_fd);
-    if (it != listener_home_.end()) {
-      index = it->second;
-      listener_home_.erase(it);
-    }
-  }
-  Loop& loop = *loops_[static_cast<std::size_t>(index)];
-  post(loop, [&loop, listen_fd] {
-    auto it = loop.listeners.find(listen_fd);
-    if (it == loop.listeners.end()) return;
+  post([this, listen_fd] {
+    auto it = listeners_.find(listen_fd);
+    if (it == listeners_.end()) return;
     if (it->second.armed) {
-      ::epoll_ctl(loop.epfd, EPOLL_CTL_DEL, listen_fd, nullptr);
+      ::epoll_ctl(epfd_, EPOLL_CTL_DEL, listen_fd, nullptr);
     }
-    loop.listeners.erase(it);
+    listeners_.erase(it);
   });
-}
-
-Reactor::Loop& Reactor::loop_for_timer(TimerId id) {
-  const std::size_t index =
-      next_timer_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();
-  {
-    std::lock_guard<std::mutex> lock(homes_mu_);
-    timer_home_[id] = static_cast<int>(index);
-  }
-  return *loops_[index];
 }
 
 TimerId Reactor::add_timer(double delay_s, TimerFn fn) {
   const TimerId id = next_timer_.fetch_add(1, std::memory_order_relaxed);
-  if (loops_.empty()) return id;
-  Loop& loop = loop_for_timer(id);
-  post(loop, [this, &loop, id, delay_s, fn = std::move(fn)]() mutable {
-    Timer timer;
-    timer.id = id;
-    // One-shot: retire the home entry when it fires so the map stays small.
-    timer.fn = [this, id, fn = std::move(fn)] {
-      {
-        std::lock_guard<std::mutex> lock(homes_mu_);
-        timer_home_.erase(id);
-      }
-      fn();
-    };
-    auto ticks = static_cast<std::uint64_t>(delay_s / Loop::kTickS);
-    timer.deadline_tick = loop.now_tick() + std::max<std::uint64_t>(1, ticks);
-    loop.insert_timer(std::move(timer));
+  post([this, id, delay_s, fn = std::move(fn)]() mutable {
+    timers_->insert(id, delay_s, 0.0, std::move(fn));
   });
   return id;
 }
 
 TimerId Reactor::add_periodic(double interval_s, TimerFn fn) {
   const TimerId id = next_timer_.fetch_add(1, std::memory_order_relaxed);
-  if (loops_.empty()) return id;
-  Loop& loop = loop_for_timer(id);
-  post(loop, [&loop, id, interval_s, fn = std::move(fn)]() mutable {
-    Timer timer;
-    timer.id = id;
-    timer.period_s = interval_s;
-    timer.fn = std::move(fn);
-    auto ticks = static_cast<std::uint64_t>(interval_s / Loop::kTickS);
-    timer.deadline_tick = loop.now_tick() + std::max<std::uint64_t>(1, ticks);
-    loop.insert_timer(std::move(timer));
+  post([this, id, interval_s, fn = std::move(fn)]() mutable {
+    timers_->insert(id, interval_s, interval_s, std::move(fn));
   });
   return id;
 }
 
 void Reactor::cancel_timer(TimerId id) {
-  if (loops_.empty()) return;
-  int index = 0;
-  {
-    std::lock_guard<std::mutex> lock(homes_mu_);
-    auto it = timer_home_.find(id);
-    if (it == timer_home_.end()) return;  // already fired (one-shot) or bogus
-    index = it->second;
-    timer_home_.erase(it);
-  }
-  Loop& loop = *loops_[static_cast<std::size_t>(index)];
-  post(loop, [&loop, id] { loop.remove_timer(id); });
+  // A one-shot that already fired is simply absent from the wheel.
+  post([this, id] { timers_->remove(id); });
 }
 
 void Reactor::barrier() {
-  std::vector<std::future<void>> futures;
-  for (auto& loop : loops_) {
-    auto promise = std::make_shared<std::promise<void>>();
-    auto future = promise->get_future();
-    if (post(*loop, [promise] { promise->set_value(); })) {
-      futures.push_back(std::move(future));
-    }
-  }
-  for (auto& future : futures) future.wait();
+  auto promise = std::make_shared<std::promise<void>>();
+  auto future = promise->get_future();
+  if (post([promise] { promise->set_value(); })) future.wait();
 }
 
 std::size_t Reactor::open_connections() const {
   return open_conns_.load(std::memory_order_relaxed);
 }
 
-std::vector<std::size_t> Reactor::connections_per_loop() {
-  std::vector<std::size_t> out(loops_.size(), 0);
-  std::vector<std::future<void>> futures;
-  for (std::size_t i = 0; i < loops_.size(); ++i) {
-    Loop* loop = loops_[i].get();
-    auto promise = std::make_shared<std::promise<void>>();
-    auto future = promise->get_future();
-    if (post(*loop, [&out, i, loop, promise] {
-          out[i] = loop->conns.size();
-          promise->set_value();
-        })) {
-      futures.push_back(std::move(future));
-    }
-  }
-  for (auto& future : futures) future.wait();
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Loop body
 // ---------------------------------------------------------------------------
 
-void Reactor::run_loop(Loop& loop) {
-  tls_reactor = this;
-  tls_loop = &loop;
+void Reactor::run_loop() {
   epoll_event events[kMaxEvents];
   while (true) {
     // Drain posted operations and flush requests.
     std::vector<std::function<void()>> batch;
     std::vector<std::shared_ptr<Conn>> flushes;
     {
-      std::lock_guard<std::mutex> lock(loop.ops_mu);
-      std::swap(batch, loop.ops);
-      std::swap(flushes, loop.flush_q);
-      loop.wake_pending = false;
+      std::lock_guard<std::mutex> lock(ops_mu_);
+      std::swap(batch, ops_);
+      std::swap(flushes, flush_q_);
+      wake_pending_ = false;
     }
     for (auto& op : batch) op();
     for (auto& conn : flushes) {
-      if (conn->loop_.load(std::memory_order_acquire) != &loop) {
-        request_flush(conn);  // migrated after the request: chase it
-        continue;
-      }
       {
         std::lock_guard<std::mutex> lock(conn->mu_);
         conn->flush_requested_ = false;
       }
-      loop_flush(loop, conn);
+      loop_flush(conn);
     }
     if (stopping_.load(std::memory_order_acquire)) break;
 
-    loop.advance_timers();
+    timers_->advance();
 
-    int timeout = loop.next_timeout_ms();
+    int timeout = timers_->next_timeout_ms();
     {
-      std::lock_guard<std::mutex> lock(loop.ops_mu);
-      if (!loop.ops.empty() || !loop.flush_q.empty()) {
+      std::lock_guard<std::mutex> lock(ops_mu_);
+      if (!ops_.empty() || !flush_q_.empty()) {
         timeout = 0;  // op posted from a timer/callback
       }
     }
-    const int n = ::epoll_wait(loop.epfd, events, kMaxEvents, timeout);
+    const int n = ::epoll_wait(epfd_, events, kMaxEvents, timeout);
     if (m_wakeups_ != nullptr) m_wakeups_->inc();
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -706,31 +515,31 @@ void Reactor::run_loop(Loop& loop) {
       m_epoll_batch_->record(static_cast<double>(n));
     }
     if (n == 0 && timeout > 0 &&
-        loop.now_s() - loop.last_trim_s >= kPoolTrimIntervalS) {
+        timers_->now_s() - last_trim_s_ >= kPoolTrimIntervalS) {
       // Idle wake-up with nothing to do: give pooled buffers back.
-      loop.last_trim_s = loop.now_s();
-      loop.pool.trim(*this);
+      last_trim_s_ = timers_->now_s();
+      pool_->trim(*this);
     }
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
       const std::uint32_t mask = events[i].events;
-      if (fd == loop.evfd) {
+      if (fd == evfd_) {
         std::uint64_t drained = 0;
-        [[maybe_unused]] auto r = ::read(loop.evfd, &drained, sizeof(drained));
+        [[maybe_unused]] auto r = ::read(evfd_, &drained, sizeof(drained));
         continue;
       }
-      if (auto lit = loop.listeners.find(fd); lit != loop.listeners.end()) {
-        do_accept(loop, fd);
+      if (listeners_.count(fd) != 0) {
+        do_accept(fd);
         continue;
       }
-      auto cit = loop.conns.find(fd);
-      if (cit == loop.conns.end()) continue;  // closed earlier in this batch
+      auto cit = conns_.find(fd);
+      if (cit == conns_.end()) continue;  // closed earlier in this batch
       std::shared_ptr<Conn> conn = cit->second;
       if ((mask & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0) {
-        handle_readable(loop, conn);
+        handle_readable(conn);
       }
       if (!conn->closed_ && (mask & EPOLLOUT) != 0) {
-        handle_writable(loop, conn);
+        handle_writable(conn);
       }
     }
   }
@@ -738,30 +547,28 @@ void Reactor::run_loop(Loop& loop) {
   // Shutdown: refuse further posts, run stragglers, close every connection
   // (firing on_close on this thread, as documented). Pending flush requests
   // are dropped — the close below discards queued output anyway.
-  {
-    std::lock_guard<std::mutex> lock(loop.ops_mu);
-    loop.stopped = true;
-  }
   std::vector<std::function<void()>> rest;
   {
-    std::lock_guard<std::mutex> lock(loop.ops_mu);
-    std::swap(rest, loop.ops);
-    loop.flush_q.clear();
+    std::lock_guard<std::mutex> lock(ops_mu_);
+    stopped_ = true;
+    std::swap(rest, ops_);
+    flush_q_.clear();
+    wake_pending_ = false;
   }
   for (auto& op : rest) op();
   std::vector<std::shared_ptr<Conn>> remaining;
-  remaining.reserve(loop.conns.size());
-  for (auto& [fd, conn] : loop.conns) remaining.push_back(conn);
-  for (auto& conn : remaining) do_close(loop, conn);
-  for (auto& [fd, state] : loop.listeners) {
-    if (state.armed) ::epoll_ctl(loop.epfd, EPOLL_CTL_DEL, fd, nullptr);
+  remaining.reserve(conns_.size());
+  for (auto& [fd, conn] : conns_) remaining.push_back(conn);
+  for (auto& conn : remaining) do_close(conn);
+  for (auto& [fd, state] : listeners_) {
+    if (state.armed) ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
   }
-  loop.listeners.clear();
+  listeners_.clear();
 }
 
-void Reactor::do_accept(Loop& loop, int listen_fd) {
-  auto it = loop.listeners.find(listen_fd);
-  if (it == loop.listeners.end()) return;
+void Reactor::do_accept(int listen_fd) {
+  auto it = listeners_.find(listen_fd);
+  if (it == listeners_.end()) return;
   while (true) {
     const int fd =
         ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -771,8 +578,8 @@ void Reactor::do_accept(Loop& loop, int listen_fd) {
       it->second.backoff_s = 0.0;
       it->second.on_accept(fd);
       // The handler may have removed the listener (server stopping).
-      it = loop.listeners.find(listen_fd);
-      if (it == loop.listeners.end()) return;
+      it = listeners_.find(listen_fd);
+      if (it == listeners_.end()) return;
       continue;
     }
     if (errno == EINTR || errno == ECONNABORTED || errno == EPROTO) continue;
@@ -787,47 +594,43 @@ void Reactor::do_accept(Loop& loop, int listen_fd) {
       backoff = (backoff <= 0.0)
                     ? kAcceptBackoffMinS
                     : std::min(backoff * 2.0, kAcceptBackoffMaxS);
-      ::epoll_ctl(loop.epfd, EPOLL_CTL_DEL, listen_fd, nullptr);
+      ::epoll_ctl(epfd_, EPOLL_CTL_DEL, listen_fd, nullptr);
       it->second.armed = false;
-      Timer timer;
-      timer.id = next_timer_.fetch_add(1, std::memory_order_relaxed);
-      auto ticks = static_cast<std::uint64_t>(backoff / Loop::kTickS);
-      timer.deadline_tick =
-          loop.now_tick() + std::max<std::uint64_t>(1, ticks);
-      timer.fn = [this, &loop, listen_fd] {
-        auto lit = loop.listeners.find(listen_fd);
-        if (lit == loop.listeners.end()) return;  // removed while backed off
-        epoll_event ev{};
-        ev.events = EPOLLIN;
-        ev.data.fd = listen_fd;
-        if (::epoll_ctl(loop.epfd, EPOLL_CTL_ADD, listen_fd, &ev) == 0) {
-          lit->second.armed = true;
-        }
-        do_accept(loop, listen_fd);  // drain whatever queued during backoff
-      };
-      loop.insert_timer(std::move(timer));
+      timers_->insert(
+          next_timer_.fetch_add(1, std::memory_order_relaxed), backoff, 0.0,
+          [this, listen_fd] {
+            auto lit = listeners_.find(listen_fd);
+            if (lit == listeners_.end()) return;  // removed while backed off
+            epoll_event ev{};
+            ev.events = EPOLLIN;
+            ev.data.fd = listen_fd;
+            if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, listen_fd, &ev) == 0) {
+              lit->second.armed = true;
+            }
+            do_accept(listen_fd);  // drain whatever queued during backoff
+          });
       return;
     }
     // Listener closed or unusable (EBADF, EINVAL): withdraw it.
     if (it->second.armed) {
-      ::epoll_ctl(loop.epfd, EPOLL_CTL_DEL, listen_fd, nullptr);
+      ::epoll_ctl(epfd_, EPOLL_CTL_DEL, listen_fd, nullptr);
     }
-    loop.listeners.erase(it);
+    listeners_.erase(it);
     return;
   }
 }
 
-void Reactor::update_epoll(Loop& loop, const std::shared_ptr<Conn>& conn) {
+void Reactor::update_epoll(const std::shared_ptr<Conn>& conn) {
   if (!conn->registered_ || conn->closed_) return;
   epoll_event ev{};
   ev.events = 0;
   if (conn->read_on_ && !conn->read_paused_bp_) ev.events |= EPOLLIN;
   if (conn->epollout_) ev.events |= EPOLLOUT;
   ev.data.fd = conn->fd_;
-  ::epoll_ctl(loop.epfd, EPOLL_CTL_MOD, conn->fd_, &ev);
+  ::epoll_ctl(epfd_, EPOLL_CTL_MOD, conn->fd_, &ev);
 }
 
-void Reactor::handle_readable(Loop& loop, const std::shared_ptr<Conn>& conn) {
+void Reactor::handle_readable(const std::shared_ptr<Conn>& conn) {
   if (conn->closed_ || !conn->read_on_) return;
   std::size_t budget = kReadBudget;
   while (budget > 0 && !conn->closed_ && !conn->read_paused_bp_) {
@@ -842,13 +645,13 @@ void Reactor::handle_readable(Loop& loop, const std::shared_ptr<Conn>& conn) {
     }
     const ssize_t n = ::recv(conn->fd_, dst, std::min(want, budget), 0);
     if (n == 0) {  // peer closed
-      do_close(loop, conn);
+      do_close(conn);
       return;
     }
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      do_close(loop, conn);
+      do_close(conn);
       return;
     }
     budget -= static_cast<std::size_t>(n);
@@ -864,7 +667,7 @@ void Reactor::handle_readable(Loop& loop, const std::shared_ptr<Conn>& conn) {
         corr |= static_cast<std::uint64_t>(conn->header_[4 + b]) << (8 * b);
       }
       if (len > wire::kMaxFrameBytes) {  // corrupted length; don't allocate it
-        do_close(loop, conn);
+        do_close(conn);
         return;
       }
       conn->header_got_ = 0;
@@ -872,10 +675,10 @@ void Reactor::handle_readable(Loop& loop, const std::shared_ptr<Conn>& conn) {
       conn->cur_len_ = len;
       conn->payload_got_ = 0;
       if (len == 0) {
-        deliver_frame(loop, conn, corr, {});
+        deliver_frame(conn, corr, {});
         continue;
       }
-      conn->payload_ = loop.pool.acquire(*this, len);
+      conn->payload_ = pool_->acquire(*this, len);
       conn->reading_payload_ = true;
     } else {
       conn->payload_got_ += static_cast<std::size_t>(n);
@@ -883,20 +686,19 @@ void Reactor::handle_readable(Loop& loop, const std::shared_ptr<Conn>& conn) {
       conn->reading_payload_ = false;
       std::vector<std::uint8_t> payload = std::move(conn->payload_);
       conn->payload_ = {};
-      deliver_frame(loop, conn, conn->cur_corr_, std::move(payload));
+      deliver_frame(conn, conn->cur_corr_, std::move(payload));
     }
   }
 }
 
-void Reactor::deliver_frame(Loop& loop, const std::shared_ptr<Conn>& conn,
+void Reactor::deliver_frame(const std::shared_ptr<Conn>& conn,
                             std::uint64_t corr,
                             std::vector<std::uint8_t>&& payload) {
   if (conn->on_frame_) conn->on_frame_(conn, corr, std::move(payload));
-  maybe_update_read_interest(loop, conn);
+  maybe_update_read_interest(conn);
 }
 
-void Reactor::maybe_update_read_interest(Loop& loop,
-                                         const std::shared_ptr<Conn>& conn) {
+void Reactor::maybe_update_read_interest(const std::shared_ptr<Conn>& conn) {
   if (conn->closed_) return;
   std::size_t queued;
   {
@@ -906,43 +708,41 @@ void Reactor::maybe_update_read_interest(Loop& loop,
   if (!conn->read_paused_bp_ && queued >= options_.high_watermark_bytes) {
     conn->read_paused_bp_ = true;
     if (m_read_paused_ != nullptr) m_read_paused_->inc();
-    update_epoll(loop, conn);
+    update_epoll(conn);
   } else if (conn->read_paused_bp_ && queued <= options_.low_watermark_bytes) {
     conn->read_paused_bp_ = false;
-    update_epoll(loop, conn);
+    update_epoll(conn);
   }
 }
 
-void Reactor::handle_writable(Loop& loop, const std::shared_ptr<Conn>& conn) {
+void Reactor::handle_writable(const std::shared_ptr<Conn>& conn) {
   if (conn->closed_) return;
   if (conn->epollout_) {
     conn->epollout_ = false;
     if (conn->stall_start_ >= 0.0) {
       if (m_writable_stall_ != nullptr) {
-        m_writable_stall_->record(loop.now_s() - conn->stall_start_);
+        m_writable_stall_->record(timers_->now_s() - conn->stall_start_);
       }
       conn->stall_start_ = -1.0;
     }
-    update_epoll(loop, conn);
+    update_epoll(conn);
   }
-  loop_flush(loop, conn);
+  loop_flush(conn);
 }
 
-void Reactor::arm_writable(Loop& loop, const std::shared_ptr<Conn>& conn) {
+void Reactor::arm_writable(const std::shared_ptr<Conn>& conn) {
   if (conn->epollout_) return;
   conn->epollout_ = true;
-  conn->stall_start_ = loop.now_s();
-  update_epoll(loop, conn);
+  conn->stall_start_ = timers_->now_s();
+  update_epoll(conn);
 }
 
-void Reactor::loop_flush(Loop& loop, const std::shared_ptr<Conn>& conn) {
+void Reactor::loop_flush(const std::shared_ptr<Conn>& conn) {
   if (conn->closed_ || !conn->registered_) return;
-  if (conn->output_paused_.load(std::memory_order_acquire) || conn->epollout_) {
-    return;
-  }
+  if (conn->output_paused_ || conn->epollout_) return;
 
-  // Fully-written buffers, recycled into this loop's pool once the
-  // connection mutex is back off (the pool mutex is a leaf).
+  // Fully-written buffers, recycled into the pool once the connection
+  // mutex is back off (the pool mutex is a leaf).
   std::vector<std::vector<std::uint8_t>> done_bufs;
 
   while (true) {
@@ -973,19 +773,13 @@ void Reactor::loop_flush(Loop& loop, const std::shared_ptr<Conn>& conn) {
     }
     if (pause_s > 0.0) {
       // Fault-injected delay: park the outbox on the timer wheel instead of
-      // sleeping a thread. Bytes queued behind the marker wait it out. The
-      // timer stays on this loop even if the connection migrates, so the
-      // resume goes through request_flush to reach the then-current owner.
-      conn->output_paused_.store(true, std::memory_order_release);
-      Timer timer;
-      timer.id = next_timer_.fetch_add(1, std::memory_order_relaxed);
-      auto ticks = static_cast<std::uint64_t>(pause_s / Loop::kTickS);
-      timer.deadline_tick = loop.now_tick() + std::max<std::uint64_t>(1, ticks);
-      timer.fn = [this, conn] {
-        conn->output_paused_.store(false, std::memory_order_release);
-        request_flush(conn);
-      };
-      loop.insert_timer(std::move(timer));
+      // sleeping a thread. Bytes queued behind the marker wait it out.
+      conn->output_paused_ = true;
+      timers_->insert(next_timer_.fetch_add(1, std::memory_order_relaxed),
+                      pause_s, 0.0, [this, conn] {
+                        conn->output_paused_ = false;
+                        loop_flush(conn);
+                      });
       break;
     }
     if (niov == 0) break;  // outbox drained
@@ -994,10 +788,10 @@ void Reactor::loop_flush(Loop& loop, const std::shared_ptr<Conn>& conn) {
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        arm_writable(loop, conn);
+        arm_writable(conn);
         break;
       }
-      do_close(loop, conn);
+      do_close(conn);
       return;
     }
     std::size_t frames_done = 0;
@@ -1024,12 +818,12 @@ void Reactor::loop_flush(Loop& loop, const std::shared_ptr<Conn>& conn) {
       m_coalesced_->inc(frames_done - 1);
     }
     if (static_cast<std::size_t>(n) < gathered) {  // partial write
-      arm_writable(loop, conn);
+      arm_writable(conn);
       break;
     }
   }
 
-  for (auto& buf : done_bufs) loop.pool.release(*this, std::move(buf));
+  for (auto& buf : done_bufs) pool_->release(*this, std::move(buf));
 
   bool drained;
   bool close_after;
@@ -1038,16 +832,14 @@ void Reactor::loop_flush(Loop& loop, const std::shared_ptr<Conn>& conn) {
     drained = conn->outbox_.empty();
     close_after = conn->close_after_flush_;
   }
-  if (drained && close_after &&
-      !conn->output_paused_.load(std::memory_order_acquire) &&
-      !conn->epollout_) {
-    do_close(loop, conn);
+  if (drained && close_after && !conn->output_paused_ && !conn->epollout_) {
+    do_close(conn);
     return;
   }
-  maybe_update_read_interest(loop, conn);
+  maybe_update_read_interest(conn);
 }
 
-void Reactor::do_close(Loop& loop, const std::shared_ptr<Conn>& conn) {
+void Reactor::do_close(const std::shared_ptr<Conn>& conn) {
   if (conn->closed_) return;
   conn->closed_ = true;
   std::deque<Conn::OutChunk> discarded;
@@ -1058,19 +850,19 @@ void Reactor::do_close(Loop& loop, const std::shared_ptr<Conn>& conn) {
     conn->queued_ = 0;
   }
   // Recycle whatever the connection was holding — unsent output and the
-  // in-progress decode buffer go back to the owning loop's pool.
+  // in-progress decode buffer go back to the pool.
   for (auto& chunk : discarded) {
     if (!chunk.bytes.empty() || chunk.bytes.capacity() > 0) {
-      loop.pool.release(*this, std::move(chunk.bytes));
+      pool_->release(*this, std::move(chunk.bytes));
     }
   }
   if (conn->payload_.capacity() > 0) {
-    loop.pool.release(*this, std::move(conn->payload_));
+    pool_->release(*this, std::move(conn->payload_));
     conn->payload_ = {};
   }
   if (conn->registered_) {
-    ::epoll_ctl(loop.epfd, EPOLL_CTL_DEL, conn->fd_, nullptr);
-    loop.conns.erase(conn->fd_);
+    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, conn->fd_, nullptr);
+    conns_.erase(conn->fd_);
     open_conns_.fetch_sub(1, std::memory_order_relaxed);
     if (m_connections_ != nullptr) {
       m_connections_->set(static_cast<double>(
@@ -1091,13 +883,7 @@ void Reactor::do_close(Loop& loop, const std::shared_ptr<Conn>& conn) {
 Status Reactor::Conn::send_frame(std::uint64_t corr,
                                  const std::vector<std::uint8_t>& payload) {
   const std::size_t total = wire::kFrameHeaderBytes + payload.size();
-  std::vector<std::uint8_t> bytes;
-  Loop* loop = loop_.load(std::memory_order_acquire);
-  if (loop != nullptr) {
-    bytes = loop->pool.acquire(*reactor_, total);
-  } else {
-    bytes.resize(total);
-  }
+  std::vector<std::uint8_t> bytes = reactor_->pool_->acquire(*reactor_, total);
   wire::put_frame_header(bytes.data(), corr,
                          static_cast<std::uint32_t>(payload.size()));
   if (!payload.empty()) {
@@ -1125,28 +911,8 @@ Status Reactor::Conn::send_raw(std::vector<std::uint8_t> bytes) {
   return ok_status();
 }
 
-void Reactor::Conn::set_affinity(std::uint64_t key) {
-  Reactor* reactor = reactor_;
-  if (reactor == nullptr || reactor->loops_.size() <= 1) return;
-  Loop& target = reactor->loop_for_key(key);
-  if (loop_.load(std::memory_order_acquire) == &target) return;
-  reactor->post_to_owner(
-      shared_from_this(),
-      [reactor, &target](Loop& owner, const std::shared_ptr<Conn>& conn) {
-        reactor->migrate(owner, conn, target);
-      });
-}
-
 void Reactor::Conn::recycle(std::vector<std::uint8_t>&& buffer) {
-  Reactor* reactor = reactor_;
-  Loop* loop = loop_.load(std::memory_order_acquire);
-  if (reactor == nullptr || loop == nullptr) return;
-  loop->pool.release(*reactor, std::move(buffer));
-}
-
-int Reactor::Conn::owner_loop_index() const {
-  Loop* loop = loop_.load(std::memory_order_acquire);
-  return loop != nullptr ? loop->index : -1;
+  reactor_->pool_->release(*reactor_, std::move(buffer));
 }
 
 void Reactor::Conn::pause_output(double delay_s) {
@@ -1172,14 +938,12 @@ void Reactor::Conn::close_after_flush() {
     dead_ = true;
     close_after_flush_ = true;
   }
-  reactor_->post_to_owner(
-      shared_from_this(),
-      [](Loop& owner, const std::shared_ptr<Conn>& conn) {
-        if (conn->closed_) return;
-        conn->read_on_ = false;
-        conn->reactor_->update_epoll(owner, conn);
-        conn->reactor_->loop_flush(owner, conn);
-      });
+  reactor_->post([conn = shared_from_this()] {
+    if (conn->closed_) return;
+    conn->read_on_ = false;
+    conn->reactor_->update_epoll(conn);
+    conn->reactor_->loop_flush(conn);
+  });
 }
 
 void Reactor::Conn::close() {
@@ -1192,10 +956,8 @@ void Reactor::Conn::close() {
     }
     dead_ = true;
   }
-  reactor_->post_to_owner(shared_from_this(),
-                          [](Loop& owner, const std::shared_ptr<Conn>& conn) {
-                            conn->reactor_->do_close(owner, conn);
-                          });
+  reactor_->post(
+      [conn = shared_from_this()] { conn->reactor_->do_close(conn); });
 }
 
 std::size_t Reactor::Conn::queued_bytes() const {

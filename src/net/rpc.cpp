@@ -92,14 +92,10 @@ RpcServer::~RpcServer() { stop(); }
 
 Status RpcServer::start(RpcHandler handler, std::uint16_t port,
                         fault::FaultInjector* fault, RpcServerOptions options) {
-  const bool reuseport = options.reactor != nullptr
-                             ? options.reactor->options().reuseport
-                             : options.reuseport;
-  auto listener = TcpListener::bind(port, reuseport);
+  auto listener = TcpListener::bind(port);
   if (!listener.ok()) return listener.error();
   listener_ = listener.take();
   handler_ = std::move(handler);
-  affinity_key_ = std::move(options.affinity_key);
   fault_ = fault;
   sndbuf_bytes_ = options.sndbuf_bytes;
   // Handlers may block (wait_results); they always run off-loop, so even
@@ -111,11 +107,9 @@ Status RpcServer::start(RpcHandler handler, std::uint16_t port,
     reactor_ = options.reactor;
   } else {
     ReactorOptions ropts;
-    ropts.n_loops = options.n_loops;
     ropts.high_watermark_bytes = options.high_watermark_bytes;
     ropts.low_watermark_bytes = options.low_watermark_bytes;
     ropts.obs = options.obs;
-    ropts.reuseport = options.reuseport;
     owned_reactor_ = std::make_unique<Reactor>(ropts);
     if (auto status = owned_reactor_->start(); !status.ok()) {
       listener_.close();
@@ -124,18 +118,6 @@ Status RpcServer::start(RpcHandler handler, std::uint16_t port,
     reactor_ = owned_reactor_.get();
   }
   reactor_->add_listener(listener_.fd(), [this](int fd) { on_accept(fd); });
-  if (reuseport) {
-    // One sibling listener per remaining loop; consecutive add_listener
-    // calls land on consecutive loops, so the set covers every loop and
-    // the kernel's reuseport hash spreads accepts across them.
-    for (int i = 1; i < reactor_->n_loops(); ++i) {
-      auto sibling = TcpListener::bind(listener_.port(), true);
-      if (!sibling.ok()) break;  // degraded, never fatal: primary accepts
-      siblings_.push_back(sibling.take());
-      reactor_->add_listener(siblings_.back().fd(),
-                             [this](int fd) { on_accept(fd); });
-    }
-  }
   started_ = true;
   return ok_status();
 }
@@ -144,7 +126,6 @@ void RpcServer::stop() {
   if (!started_) return;
   stopping_.store(true);
   reactor_->remove_listener(listener_.fd());
-  for (auto& sibling : siblings_) reactor_->remove_listener(sibling.fd());
   {
     std::lock_guard lock(mu_);
     for (auto& weak : connections_) {
@@ -155,8 +136,6 @@ void RpcServer::stop() {
   // callback is still running on a loop thread.
   reactor_->barrier();
   listener_.close();
-  for (auto& sibling : siblings_) sibling.close();
-  siblings_.clear();
   // Handlers still in flight enqueue replies into severed connections and
   // fail harmlessly; shutdown() drains them before returning.
   if (pool_) pool_->shutdown();
@@ -201,7 +180,7 @@ void RpcServer::on_frame(const std::shared_ptr<Reactor::Conn>& conn,
                          std::uint64_t corr,
                          std::vector<std::uint8_t>&& payload) {
   // Decode on the pool too: a large TaskBundle deserialisation would
-  // otherwise stall every other connection on this loop.
+  // otherwise stall every other connection on the loop.
   auto submitted =
       pool_->submit([this, conn, corr, payload = std::move(payload)] mutable {
         auto request = wire::decode_message(payload);
@@ -212,13 +191,6 @@ void RpcServer::on_frame(const std::shared_ptr<Reactor::Conn>& conn,
                         wire::ErrorReply{ErrorCode::kProtocolError,
                                          request.error().message});
           return;
-        }
-        if (affinity_key_) {
-          // Pin the connection to the loop that owns this executor's shard.
-          // A no-op once the connection is already there, so calling per
-          // request costs one atomic load.
-          const std::uint64_t key = affinity_key_(request.value());
-          if (key != 0) conn->set_affinity(key);
         }
         enqueue_reply(conn, corr, handler_(request.value()));
       });
@@ -437,10 +409,7 @@ PushServer::~PushServer() { stop(); }
 
 Status PushServer::start(std::uint16_t port, fault::FaultInjector* fault,
                          obs::Obs* obs, PushServerOptions options) {
-  const bool reuseport = options.reactor != nullptr
-                             ? options.reactor->options().reuseport
-                             : options.reuseport;
-  auto listener = TcpListener::bind(port, reuseport);
+  auto listener = TcpListener::bind(port);
   if (!listener.ok()) return listener.error();
   listener_ = listener.take();
   fault_ = fault;
@@ -452,11 +421,9 @@ Status PushServer::start(std::uint16_t port, fault::FaultInjector* fault,
     reactor_ = options.reactor;
   } else {
     ReactorOptions ropts;
-    ropts.n_loops = options.n_loops;
     ropts.high_watermark_bytes = options.high_watermark_bytes;
     ropts.low_watermark_bytes = options.low_watermark_bytes;
     ropts.obs = obs;
-    ropts.reuseport = options.reuseport;
     owned_reactor_ = std::make_unique<Reactor>(ropts);
     if (auto status = owned_reactor_->start(); !status.ok()) {
       listener_.close();
@@ -465,15 +432,6 @@ Status PushServer::start(std::uint16_t port, fault::FaultInjector* fault,
     reactor_ = owned_reactor_.get();
   }
   reactor_->add_listener(listener_.fd(), [this](int fd) { on_accept(fd); });
-  if (reuseport) {
-    for (int i = 1; i < reactor_->n_loops(); ++i) {
-      auto sibling = TcpListener::bind(listener_.port(), true);
-      if (!sibling.ok()) break;  // degraded, never fatal: primary accepts
-      siblings_.push_back(sibling.take());
-      reactor_->add_listener(siblings_.back().fd(),
-                             [this](int fd) { on_accept(fd); });
-    }
-  }
   started_ = true;
   return ok_status();
 }
@@ -482,7 +440,6 @@ void PushServer::stop() {
   if (!started_) return;
   stopping_.store(true);
   reactor_->remove_listener(listener_.fd());
-  for (auto& sibling : siblings_) reactor_->remove_listener(sibling.fd());
   {
     std::lock_guard lock(mu_);
     subscribers_.clear();
@@ -492,8 +449,6 @@ void PushServer::stop() {
   }
   reactor_->barrier();
   listener_.close();
-  for (auto& sibling : siblings_) sibling.close();
-  siblings_.clear();
   if (owned_reactor_) owned_reactor_->stop();
   started_ = false;
 }
@@ -549,10 +504,6 @@ void PushServer::on_frame(const std::shared_ptr<Reactor::Conn>& conn,
     if (slot != conn) displaced = std::move(slot);
     slot = conn;
   }
-  // The subscription key is the push key for the connection's lifetime;
-  // migrate it to the key's loop so pushes for this executor are enqueued
-  // and flushed on the same shard that owns its RPC connection.
-  conn->set_affinity(notify->executor_id.value);
   if (displaced) displaced->close();
 }
 

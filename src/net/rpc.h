@@ -49,27 +49,14 @@ struct RpcServerOptions {
   /// falkon.net.reactor.* family when the server owns its reactor).
   obs::Obs* obs{nullptr};
   /// Run on this shared reactor instead of owning one (the TCP service
-  /// shares a single loop between RPC and push). Watermark/n_loops fields
+  /// shares a single loop between RPC and push). The watermark fields
   /// below only apply to an owned reactor.
   Reactor* reactor{nullptr};
-  int n_loops{1};
   std::size_t high_watermark_bytes{8u << 20};
   std::size_t low_watermark_bytes{1u << 20};
-  /// Owned-reactor mirror of ReactorOptions::reuseport. With a shared
-  /// reactor the flag is read from its options instead. When the effective
-  /// reactor runs reuseport accept mode and has more than one loop, the
-  /// server binds one SO_REUSEPORT sibling listener per loop and the
-  /// kernel balances accepts across them.
-  bool reuseport{false};
   /// Test-only: shrink SO_SNDBUF on accepted sockets to force the
   /// partial-write/EAGAIN paths.
   int sndbuf_bytes{0};
-  /// Optional connection-affinity extractor: given a decoded request,
-  /// return a nonzero shard key (typically the executor id it carries) and
-  /// the connection is pinned to reactor loop `key % n_loops` — the same
-  /// modulo partition the dispatcher registry uses, so one executor's whole
-  /// exchange stays on one loop. Return 0 for requests that carry no key.
-  std::function<std::uint64_t(const wire::Message&)> affinity_key;
 };
 
 /// Accepts connections on the reactor and serves framed request/response
@@ -106,11 +93,7 @@ class RpcServer {
                      std::uint64_t corr, const wire::Message& reply);
 
   TcpListener listener_;
-  /// Reuseport accept mode: additional listeners sharing listener_'s port,
-  /// one per remaining reactor loop.
-  std::vector<TcpListener> siblings_;
   RpcHandler handler_;
-  std::function<std::uint64_t(const wire::Message&)> affinity_key_;
   fault::FaultInjector* fault_{nullptr};
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<Reactor> owned_reactor_;
@@ -163,15 +146,11 @@ class RpcClient {
 };
 
 struct PushServerOptions {
-  /// Run on this shared reactor instead of owning one. Watermark/n_loops
+  /// Run on this shared reactor instead of owning one. The watermark
   /// fields only apply to an owned reactor.
   Reactor* reactor{nullptr};
-  int n_loops{1};
   std::size_t high_watermark_bytes{8u << 20};
   std::size_t low_watermark_bytes{1u << 20};
-  /// Owned-reactor mirror of ReactorOptions::reuseport (see
-  /// RpcServerOptions::reuseport).
-  bool reuseport{false};
 };
 
 /// Dispatcher-side notification fan-out. Executors connect and send one
@@ -213,9 +192,6 @@ class PushServer {
   void on_close(const std::shared_ptr<Reactor::Conn>& conn);
 
   TcpListener listener_;
-  /// Reuseport accept mode: additional listeners sharing listener_'s port,
-  /// one per remaining reactor loop.
-  std::vector<TcpListener> siblings_;
   fault::FaultInjector* fault_{nullptr};
   obs::Counter* m_bp_drops_{nullptr};
   std::unique_ptr<Reactor> owned_reactor_;

@@ -134,18 +134,12 @@ void TcpStream::shutdown() {
   if (fd_.valid()) ::shutdown(fd_.get(), SHUT_RDWR);
 }
 
-Result<TcpListener> TcpListener::bind(std::uint16_t port, bool reuseport) {
+Result<TcpListener> TcpListener::bind(std::uint16_t port) {
   FdHandle fd(::socket(AF_INET, SOCK_STREAM, 0));
   if (!fd.valid()) return errno_error("socket");
 
   int one = 1;
   ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (reuseport) {
-    if (::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) !=
-        0) {
-      return errno_error("setsockopt(SO_REUSEPORT)");
-    }
-  }
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;

@@ -68,11 +68,9 @@ class TcpStream final : public wire::ByteStream {
 /// Listening socket. Port 0 picks an ephemeral port, readable via port().
 class TcpListener {
  public:
-  /// `reuseport` additionally sets SO_REUSEPORT before binding, letting
-  /// several sibling listeners share one port (the reactor's reuseport
-  /// accept mode: one listener per event loop, kernel-balanced). Strictly
-  /// opt-in — HA standby takeover relies on the default exclusive bind.
-  static Result<TcpListener> bind(std::uint16_t port, bool reuseport = false);
+  /// Binds exclusively (no SO_REUSEPORT): HA standby takeover relies on a
+  /// second bind of a live port failing.
+  static Result<TcpListener> bind(std::uint16_t port);
 
   Result<TcpStream> accept();
 

@@ -26,12 +26,17 @@ InProcFalkon::EngineFactory noop_factory() {
   return [](Clock&) { return std::make_unique<NoopEngine>(); };
 }
 
+InProcFalkon::EngineFactory sleep_factory() {
+  return [](Clock& clock) { return std::make_unique<SleepEngine>(clock); };
+}
+
 class ForwarderTest : public ::testing::Test {
  protected:
-  void add_cluster(int executors) {
+  void add_cluster(int executors,
+                   InProcFalkon::EngineFactory factory = noop_factory()) {
     auto cluster = std::make_unique<InProcFalkon>(clock_, DispatcherConfig{});
     EXPECT_TRUE(
-        cluster->add_executors(executors, noop_factory(), ExecutorOptions{})
+        cluster->add_executors(executors, factory, ExecutorOptions{})
             .ok());
     clients_.push_back(&cluster->client());
     clusters_.push_back(std::move(cluster));
@@ -81,7 +86,12 @@ TEST_F(ForwarderTest, AggregatedStatus) {
 }
 
 TEST_F(ForwarderTest, LeastLoadedPrefersIdleCluster) {
-  add_cluster(2);
+  // Cluster 0 really sleeps, so its pre-load below is a backlog that lasts
+  // (50 x 0.05 s over 2 executors, ~1.25 s) until the forwarder routes. On
+  // NoopEngine the sleeps cost nothing: under a loaded `ctest -j` the
+  // queue could drain first, both loads would tie at 0, and the tie goes
+  // to backend 0.
+  add_cluster(2, sleep_factory());
   add_cluster(2);
   Forwarder forwarder(clients_, RoutingPolicy::kLeastLoaded);
   auto session = FalkonSession::open(forwarder, ClientId{1});

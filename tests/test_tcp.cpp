@@ -2,18 +2,26 @@
 // executors (RPC pull + push notifications), and remote client. All servers
 // bind port 0 (ephemeral), so the binary is safe under parallel ctest.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
 
+#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <set>
+#include <thread>
+#include <unordered_map>
 
 #include "common/clock.h"
 #include "core/client.h"
 #include "core/service_tcp.h"
 #include "fault/fault.h"
 #include "net/rpc.h"
+#include "net/socket.h"
 #include "obs/obs.h"
+#include "wire/framing.h"
 
 namespace falkon::core {
 namespace {
@@ -462,36 +470,290 @@ TEST(TcpStreamingFault, DroppedPushFramesFallBackToPolling) {
   dispatcher.shutdown();
 }
 
-// ---- SO_REUSEPORT accept mode -----------------------------------------
+// ---- many executor ids on one connection ------------------------------
 
-TEST(TcpReuseport, FullStackServesFromKernelBalancedListeners) {
+/// Non-blocking frame reader for a raw socket: fill() takes whatever bytes
+/// are ready, drain() hands out every complete frame.
+struct FrameInbox {
+  std::vector<std::uint8_t> buf;
+
+  /// false once the peer closed the connection or the read failed.
+  bool fill(int fd) {
+    std::uint8_t chunk[64 * 1024];
+    for (;;) {
+      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), MSG_DONTWAIT);
+      if (n > 0) {
+        buf.insert(buf.end(), chunk, chunk + n);
+        continue;
+      }
+      if (n == 0) return false;
+      return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
+    }
+  }
+
+  template <class Fn>
+  void drain(Fn&& on_frame) {
+    std::size_t at = 0;
+    while (buf.size() - at >= wire::kFrameHeaderBytes) {
+      std::uint32_t len = 0;
+      std::uint64_t corr = 0;
+      for (int b = 0; b < 4; ++b) {
+        len |= static_cast<std::uint32_t>(buf[at + b]) << (8 * b);
+      }
+      for (int b = 0; b < 8; ++b) {
+        corr |= static_cast<std::uint64_t>(buf[at + 4 + b]) << (8 * b);
+      }
+      if (buf.size() - at - wire::kFrameHeaderBytes < len) break;
+      on_frame(corr, wire::decode_message(
+                         buf.data() + at + wire::kFrameHeaderBytes, len));
+      at += wire::kFrameHeaderBytes + len;
+    }
+    buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(at));
+  }
+};
+
+TEST(TcpSharedConnection, ManyExecutorIdsShareOneRpcAndOnePushConnection) {
+  // A load generator multiplexes a fleet of executors over one pipelined
+  // RPC connection and one push connection: GetWork, ResultBundle and
+  // Heartbeat for ~32 executor ids interleave on the same socket, and
+  // every id subscribes on the same push socket. The server must serve
+  // that exchange without ever cutting either connection, and every task
+  // must run exactly once.
+  constexpr std::size_t kExecutors = 32;
+  constexpr int kTasks = 20000;
+  constexpr std::uint64_t kHeartbeatCorr = 1ULL << 62;
   RealClock clock;
   Dispatcher dispatcher(clock, DispatcherConfig{});
-  TcpDispatcherServer server(dispatcher, nullptr, /*reactor_loops=*/2,
-                             /*reuseport=*/true);
+  TcpDispatcherServer server(dispatcher);
   ASSERT_TRUE(server.start().ok());
-  ASSERT_GE(server.reactor().n_loops(), 2);
+  auto rpc = net::TcpStream::connect("127.0.0.1", server.rpc_port());
+  ASSERT_TRUE(rpc.ok());
+  auto push = net::TcpStream::connect("127.0.0.1", server.push_port());
+  ASSERT_TRUE(push.ok());
 
-  std::vector<std::unique_ptr<TcpExecutorHarness>> pool;
-  for (int e = 0; e < 4; ++e) {
-    auto harness = std::make_unique<TcpExecutorHarness>(
-        clock, "127.0.0.1", server.rpc_port(), server.push_port(),
-        std::make_unique<NoopEngine>(), ExecutorOptions{});
-    ASSERT_TRUE(harness->start().ok());
-    pool.push_back(std::move(harness));
+  std::vector<std::uint8_t> out;
+  auto send = [&](std::uint64_t corr, const wire::Message& message) {
+    const auto payload = wire::encode_message(message);
+    const std::size_t at = out.size();
+    out.resize(at + wire::kFrameHeaderBytes);
+    wire::put_frame_header(out.data() + at, corr,
+                           static_cast<std::uint32_t>(payload.size()));
+    out.insert(out.end(), payload.begin(), payload.end());
+  };
+  auto flush_to = [&](net::TcpStream& stream) {
+    const bool ok = out.empty() || stream.write_all(out.data(), out.size()).ok();
+    out.clear();
+    return ok;
+  };
+
+  // Executor i uses correlation id i + 1 for its one outstanding request.
+  enum class State { kIdle, kBusy };
+  struct Exec {
+    ExecutorId id;
+    State state{State::kBusy};
+    bool notified{false};
+    std::uint64_t last_bundle_seq{0};
+  };
+  std::vector<Exec> execs(kExecutors);
+  std::unordered_map<std::uint64_t, std::size_t> index_of;
+  std::unordered_map<std::uint64_t, int> executed;
+  int errors = 0;
+  int heartbeats = 0;
+  bool heartbeat_outstanding = false;
+
+  auto get_work = [&](std::size_t i) {
+    wire::GetWorkRequest request;
+    request.executor_id = execs[i].id;
+    request.max_tasks = wire::kAdaptiveBundle;
+    send(i + 1, request);
+    execs[i].state = State::kBusy;
+  };
+  auto run_bundle = [&](std::size_t i, const std::vector<TaskSpec>& tasks) {
+    wire::ResultBundle request;
+    request.executor_id = execs[i].id;
+    request.ack_seq = execs[i].last_bundle_seq;
+    request.want_tasks = wire::kAdaptiveWant;
+    for (const auto& task : tasks) {
+      ++executed[task.id.value];
+      TaskResult result;
+      result.task_id = task.id;
+      result.executor_id = execs[i].id;
+      result.state = TaskState::kCompleted;
+      request.results.push_back(std::move(result));
+    }
+    send(i + 1, request);
+    execs[i].state = State::kBusy;
+  };
+  auto on_reply = [&](std::uint64_t corr, Result<wire::Message> message) {
+    if (!message.ok()) {
+      ++errors;
+      return;
+    }
+    if (corr == kHeartbeatCorr) {
+      if (std::holds_alternative<wire::HeartbeatReply>(message.value())) {
+        ++heartbeats;
+      } else {
+        ++errors;
+      }
+      heartbeat_outstanding = false;
+      return;
+    }
+    if (corr == 0 || corr > kExecutors) {
+      ++errors;
+      return;
+    }
+    const std::size_t i = corr - 1;
+    Exec& exec = execs[i];
+    if (const auto* reply = std::get_if<wire::RegisterReply>(&message.value())) {
+      exec.id = reply->executor_id;
+    } else if (const auto* work =
+                   std::get_if<wire::GetWorkReply>(&message.value())) {
+      if (!work->tasks.empty()) {
+        run_bundle(i, work->tasks);
+      } else if (exec.notified) {
+        exec.notified = false;
+        get_work(i);
+      } else {
+        exec.state = State::kIdle;
+      }
+    } else if (const auto* bundle =
+                   std::get_if<wire::TaskBundle>(&message.value())) {
+      if (bundle->bundle_seq != 0) exec.last_bundle_seq = bundle->bundle_seq;
+      if (!bundle->tasks.empty()) {
+        run_bundle(i, bundle->tasks);
+      } else {
+        get_work(i);
+      }
+    } else {
+      ++errors;
+      exec.state = State::kIdle;
+    }
+  };
+
+  // Register the whole fleet, pipelined.
+  FrameInbox rpc_in;
+  FrameInbox push_in;
+  for (std::size_t i = 0; i < kExecutors; ++i) {
+    wire::RegisterRequest request;
+    request.node_id = NodeId{i + 1};
+    request.host = "fleet";
+    send(i + 1, request);
   }
-  auto client = TcpDispatcherClient::connect("127.0.0.1", server.rpc_port(),
-                                             server.push_port());
-  ASSERT_TRUE(client.ok());
-  auto session = FalkonSession::open(*client.value(), ClientId{1});
-  ASSERT_TRUE(session.ok());
-  auto results = session.value()->run(sleep_tasks(200), 30.0);
-  ASSERT_TRUE(results.ok()) << results.error().str();
-  std::set<std::uint64_t> ids;
-  for (const auto& result : results.value()) ids.insert(result.task_id.value);
-  EXPECT_EQ(ids.size(), 200u);
+  ASSERT_TRUE(flush_to(rpc.value()));
+  const auto setup_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::size_t registered = 0;
+  while (registered < kExecutors &&
+         std::chrono::steady_clock::now() < setup_deadline) {
+    pollfd fd{rpc.value().fd(), POLLIN, 0};
+    (void)::poll(&fd, 1, 100);
+    ASSERT_TRUE(rpc_in.fill(rpc.value().fd()));
+    rpc_in.drain(on_reply);
+    registered = 0;
+    for (const auto& exec : execs) registered += exec.id.valid() ? 1 : 0;
+  }
+  ASSERT_EQ(registered, kExecutors);
+  for (std::size_t i = 0; i < kExecutors; ++i) {
+    index_of[execs[i].id.value] = i;
+    send(0, wire::Notify{execs[i].id, 0});  // subscribe on the push socket
+  }
+  ASSERT_TRUE(flush_to(push.value()));
+  for (std::size_t i = 0; i < kExecutors; ++i) get_work(i);
+  ASSERT_TRUE(flush_to(rpc.value()));
 
-  pool.clear();
+  // The client runs on its own connections, in its own thread.
+  std::atomic<bool> client_done{false};
+  Result<std::vector<TaskResult>> results =
+      make_error(ErrorCode::kInternal, "client never ran");
+  std::thread client_thread([&] {
+    auto client = TcpDispatcherClient::connect(
+        "127.0.0.1", server.rpc_port(), server.push_port());
+    if (client.ok()) {
+      SessionOptions options;
+      options.bundle_size = 5000;
+      auto session = FalkonSession::open(*client.value(), ClientId{1}, options);
+      if (session.ok()) results = session.value()->run(sleep_tasks(kTasks), 30.0);
+    }
+    client_done.store(true);
+  });
+
+  bool cut = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  auto last_heartbeat = std::chrono::steady_clock::now();
+  std::size_t heartbeat_index = 0;
+  while (!client_done.load() && std::chrono::steady_clock::now() < deadline) {
+    pollfd fds[2] = {{rpc.value().fd(), POLLIN, 0},
+                     {push.value().fd(), POLLIN, 0}};
+    const int ready = ::poll(fds, 2, 20);
+    if (fds[1].revents != 0) {
+      if (!push_in.fill(push.value().fd())) {
+        cut = true;
+        break;
+      }
+      push_in.drain([&](std::uint64_t, Result<wire::Message> message) {
+        const auto* notify =
+            message.ok() ? std::get_if<wire::Notify>(&message.value()) : nullptr;
+        const auto it =
+            notify != nullptr ? index_of.find(notify->executor_id.value)
+                              : index_of.end();
+        if (it == index_of.end()) {
+          ++errors;
+          return;
+        }
+        if (execs[it->second].state == State::kIdle) {
+          get_work(it->second);
+        } else {
+          execs[it->second].notified = true;
+        }
+      });
+    }
+    if (fds[0].revents != 0) {
+      if (!rpc_in.fill(rpc.value().fd())) {
+        cut = true;
+        break;
+      }
+      rpc_in.drain(on_reply);
+    }
+    const auto now = std::chrono::steady_clock::now();
+    if (!heartbeat_outstanding && now - last_heartbeat > std::chrono::milliseconds(2)) {
+      wire::HeartbeatRequest beat;
+      beat.executor_id = execs[heartbeat_index++ % kExecutors].id;
+      send(kHeartbeatCorr, beat);
+      heartbeat_outstanding = true;
+      last_heartbeat = now;
+    }
+    if (ready == 0) {
+      // Quiet socket: idle executors poll, so a notification that raced
+      // its subscription cannot strand queued work.
+      for (std::size_t i = 0; i < kExecutors; ++i) {
+        if (execs[i].state == State::kIdle) get_work(i);
+      }
+    }
+    if (!flush_to(rpc.value())) {
+      cut = true;
+      break;
+    }
+  }
+  // A severed fleet strands the client; stopping the server releases it.
+  if (!client_done.load()) server.stop();
+  client_thread.join();
+
+  EXPECT_FALSE(cut) << "the server cut a connection shared by many executor ids";
+  ASSERT_TRUE(results.ok()) << results.error().str();
+  std::set<std::uint64_t> delivered;
+  for (const auto& result : results.value()) {
+    EXPECT_TRUE(delivered.insert(result.task_id.value).second)
+        << "task " << result.task_id.value << " delivered twice";
+  }
+  EXPECT_EQ(delivered.size(), static_cast<std::size_t>(kTasks));
+  EXPECT_EQ(executed.size(), static_cast<std::size_t>(kTasks));
+  for (const auto& [task, runs] : executed) {
+    ASSERT_EQ(runs, 1) << "task " << task << " ran " << runs << " times";
+  }
+  EXPECT_EQ(errors, 0);
+  EXPECT_GT(heartbeats, 0);
+
   server.stop();
   dispatcher.shutdown();
 }
