@@ -9,9 +9,9 @@
 //      on must stay within 15% of off (the ratio gauge is gated at the
 //      shared tolerance; the JSON records the measured ratio).
 //   3. Client-visible failover downtime — kill the primary, time until a
-//      FailoverClient status() is answered by the promoted standby on the
-//      same port. Gated as an upper bound (`*_ms` gauges are
-//      lower-is-better in scripts/bench.sh).
+//      retrying TcpDispatcherClient status() is answered by the promoted
+//      standby on the same port. Gated as an upper bound (`*_ms` gauges
+//      are lower-is-better in scripts/bench.sh).
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -25,7 +25,6 @@
 #include "core/client.h"
 #include "core/service_tcp.h"
 #include "ha/async_journal.h"
-#include "ha/failover_client.h"
 #include "ha/journal.h"
 #include "ha/standby.h"
 #include "ha/wal.h"
@@ -133,8 +132,9 @@ double measure_tcp_journaled(int executors, std::uint64_t tasks,
 }
 
 /// Client-visible outage: kill a journaled primary with a warm standby on
-/// its log directory, time until FailoverClient::status() is answered by
-/// the promoted standby (same probe as bench_micro's BM_HaFailoverDowntime).
+/// its log directory, time until a retrying TcpDispatcherClient::status()
+/// is answered by the promoted standby (same probe as bench_micro's
+/// BM_HaFailoverDowntime).
 double measure_failover_downtime_s() {
   ScratchDir primary_dir("ha_p");
   ScratchDir standby_dir("ha_s");
@@ -163,9 +163,9 @@ double measure_failover_downtime_s() {
   ha::Standby standby(clock, sopts);
   if (!standby.start().ok()) return -1.0;
 
-  ha::FailoverClientOptions copts;
+  core::TcpDispatcherClientOptions copts;
   copts.rpc_port = server->rpc_port();
-  ha::FailoverClient client(copts);
+  core::TcpDispatcherClient client(copts);
   auto instance = client.create_instance(ClientId{1});
   if (!instance.ok()) return -1.0;
   std::vector<TaskSpec> tasks;

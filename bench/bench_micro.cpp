@@ -17,7 +17,6 @@
 #include "core/client.h"
 #include "core/service.h"
 #include "core/service_tcp.h"
-#include "ha/failover_client.h"
 #include "ha/journal.h"
 #include "ha/standby.h"
 #include "ha/wal.h"
@@ -445,7 +444,7 @@ BENCHMARK(BM_WalAppend)->Arg(0)->Arg(1)->Arg(2);
 /// Measured failover downtime (docs/HA.md): a journaled primary with a warm
 /// standby sharing its log directory, queued-but-unserved tasks as state to
 /// recover, then the primary dies and the probe times kill -> a
-/// FailoverClient status() answered by the promoted standby on the same
+/// retrying TcpDispatcherClient status() answered by the promoted standby on the same
 /// port. Manual time, so the reported ms IS the client-visible outage.
 void BM_HaFailoverDowntime(benchmark::State& state) {
   namespace fs = std::filesystem;
@@ -493,9 +492,9 @@ void BM_HaFailoverDowntime(benchmark::State& state) {
       return;
     }
 
-    ha::FailoverClientOptions copts;
+    core::TcpDispatcherClientOptions copts;
     copts.rpc_port = server->rpc_port();
-    ha::FailoverClient client(copts);
+    core::TcpDispatcherClient client(copts);
     auto instance = client.create_instance(ClientId{1});
     if (!instance.ok()) {
       state.SkipWithError("create_instance failed");
@@ -523,7 +522,7 @@ void BM_HaFailoverDowntime(benchmark::State& state) {
     dispatcher->shutdown();
     dispatcher.reset();
     journal.value().reset();
-    // One FailoverClient call rides out the outage internally (reconnect +
+    // One retrying client call rides out the outage internally (reconnect +
     // backoff) and returns as soon as the promoted standby answers.
     if (!client.status().ok()) {
       state.SkipWithError("post-failover status failed");

@@ -146,6 +146,13 @@ if [ "${1:-}" = "tsan" ]; then
     'Reactor.*:Rpc.PipelinedCallsShareOneConnection:Rpc.WatermarkBackpressureIsolatedPerConnection:Rpc.AcceptBackoffOnFdExhaustionThenRecovers:Push.NotifyFromForeignThreadReachesEverySubscriber'
   run_filtered build-ci-tsan/tests/test_tcp 1 \
     'TcpSharedConnection.ManyExecutorIdsShareOneRpcAndOnePushConnection'
+  echo "== Dispatcher client cross-thread suites under TSan =="
+  # The client's redial, push resubscribe and one-thread-submits-while-
+  # another-drains paths: connection swaps race in-flight calls, receiver
+  # restarts race the frame callback, and the task-id filter is shared by
+  # the push and poll paths.
+  run_filtered build-ci-tsan/tests/test_tcp 3 \
+    'TcpClientRedial.OneAttemptClientRedialsAfterTransportFailure:TcpStreamingResume.ClientResubscribesAfterLosingPushConnection:TcpStreamingConcurrency.OpenLoopSubmitsWhileAnotherThreadDrains'
   echo "== Election and split-brain regression under TSan =="
   # The election path is all cross-thread: tail threads answering
   # ElectionPing while the failover timer promotes, two standbys racing

@@ -951,8 +951,9 @@ void Dispatcher::pump_notifications() {
   }
 }
 
-void Dispatcher::dispatch_one_locked(ExecutorEntry& entry, QueuedTask task,
-                                     double now, std::vector<TaskSpec>& out) {
+Dispatcher::DispatchedTask& Dispatcher::dispatch_one_locked(
+    ExecutorEntry& entry, QueuedTask task, double now,
+    std::vector<TaskSpec>& out) {
   DispatchedTask dispatched;
   dispatched.instance = task.instance;
   dispatched.executor = entry.id;
@@ -978,8 +979,10 @@ void Dispatcher::dispatch_one_locked(ExecutorEntry& entry, QueuedTask task,
   }
   if (m_queue_time_) m_queue_time_->record(now - task.enqueue_s);
   out.push_back(std::move(task.spec));
-  entry.dispatched[task_id] = std::move(dispatched);
+  DispatchedTask& slot = entry.dispatched[task_id];
+  slot = std::move(dispatched);
   dispatched_count_.fetch_add(1, std::memory_order_relaxed);
+  return slot;
 }
 
 std::vector<TaskSpec> Dispatcher::take_work_entry_locked(ExecutorEntry& entry,
@@ -1015,6 +1018,10 @@ std::vector<TaskSpec> Dispatcher::take_work_entry_locked(ExecutorEntry& entry,
   const double budget = config_.max_bundle_runtime_s;
   std::vector<TaskSpec> out;
   out.reserve(std::min<std::size_t>(target, 256));
+  // Stamped with the bundle's total runtime below (pointers to
+  // unordered_map elements survive rehashing).
+  std::vector<DispatchedTask*> bundle;
+  bundle.reserve(out.capacity());
   double bundle_runtime = 0.0;
   bool budget_hit = false;
 
@@ -1030,7 +1037,7 @@ std::vector<TaskSpec> Dispatcher::take_work_entry_locked(ExecutorEntry& entry,
     entry.outbox.pop_front();
     outboxed_.fetch_sub(1, std::memory_order_relaxed);
     bundle_runtime += est;
-    dispatch_one_locked(entry, std::move(task), now, out);
+    bundle.push_back(&dispatch_one_locked(entry, std::move(task), now, out));
   }
 
   if (!budget_hit && out.size() < target) {
@@ -1113,7 +1120,7 @@ std::vector<TaskSpec> Dispatcher::take_work_entry_locked(ExecutorEntry& entry,
       QueuedTask task = std::move(queue_[pick]);
       queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));
       bundle_runtime += task.spec.estimated_runtime_s;
-      dispatch_one_locked(entry, std::move(task), now, out);
+      bundle.push_back(&dispatch_one_locked(entry, std::move(task), now, out));
     }
     // Adaptive prefetch: while the backlog is deep, stash the next bundle
     // in this executor's outbox so its next exchange skips queue_mu_
@@ -1131,6 +1138,7 @@ std::vector<TaskSpec> Dispatcher::take_work_entry_locked(ExecutorEntry& entry,
     if (m_queue_depth_) m_queue_depth_->set(static_cast<double>(queue_.size()));
   }
 
+  for (DispatchedTask* task : bundle) task->bundle_runtime_s = bundle_runtime;
   if (m_dispatched_ && !out.empty()) {
     m_dispatched_->inc(out.size());
   }
@@ -1633,7 +1641,7 @@ int Dispatcher::check_replays() {
     for (const auto& [task_id, task] : entry->dispatched) {
       const double deadline = task.dispatch_s +
                               config_.replay.response_timeout_s +
-                              task.spec.estimated_runtime_s;
+                              task.bundle_runtime_s;
       if (now >= deadline) overdue.push_back(task_id);
     }
     if (overdue.empty()) continue;

@@ -379,6 +379,10 @@ class Dispatcher {
     ExecutorId executor;
     double enqueue_s{0.0};
     double dispatch_s{0.0};
+    /// Estimated runtime of the whole bundle this task was dispatched in:
+    /// an executor runs a bundle in sequence and delivers every result at
+    /// its end, so the replay deadline allows for all of it.
+    double bundle_runtime_s{0.0};
     int attempts{0};
     std::vector<std::uint64_t> killers;
   };
@@ -557,9 +561,9 @@ class Dispatcher {
                                                bool adaptive);
 
   // Requires entry.mu held. Moves one queued task into the entry's
-  // dispatched map and appends its spec to `out`.
-  void dispatch_one_locked(ExecutorEntry& entry, QueuedTask task, double now,
-                           std::vector<TaskSpec>& out);
+  // dispatched map, appends its spec to `out` and returns the record.
+  DispatchedTask& dispatch_one_locked(ExecutorEntry& entry, QueuedTask task,
+                                      double now, std::vector<TaskSpec>& out);
 
   // Requires entry.mu held. Returns the entry's prefetched tasks to the
   // front of the wait queue.

@@ -50,8 +50,8 @@ struct HaRunOptions {
 
 /// Run the spec on the loopback-TCP stack with a journaled primary and a
 /// fleet of warm standbys; honours spec.kill_primary_after by killing the
-/// primary mid-run and riding the election/takeover with an
-/// ha::FailoverClient. Fills ha_run/primary_epochs so check_invariants
+/// primary mid-run and riding the election/takeover with a retrying
+/// core::TcpDispatcherClient. Fills ha_run/primary_epochs so check_invariants
 /// exercises I9 (one primary per epoch) and I10 (exactly-once across
 /// promotion).
 [[nodiscard]] RunHistory run_tcp_ha(const WorkloadSpec& spec,

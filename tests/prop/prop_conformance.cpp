@@ -46,6 +46,17 @@ TEST(PropConformance, SimAndTcpAgreeOnRandomWorkloads) {
   EXPECT_GE(outcome.cases_run, 1);
 }
 
+TEST(PropConformance, BundleOutlastingTheResponseTimeoutCompletes) {
+  // Seed 9060 of the random scan: the last 43 tasks leave as one adaptive
+  // bundle that runs ~0.58 s against a 0.47 s response timeout. A replay
+  // deadline that counted only each task's own estimate replayed the whole
+  // bundle on every attempt until the retry budget ran out (~23 s a run,
+  // and the shrinker re-ran it).
+  const std::vector<std::string> violations =
+      conformance_property(generate_workload(9060));
+  EXPECT_TRUE(violations.empty()) << violations.front();
+}
+
 TEST(PropConformance, SimAndTcpAgreeUnderForcedFaultPlans) {
   // The random scan leaves fault-bearing specs to chance; force a plan on
   // every case here so ack retirement, replay and crash recovery are

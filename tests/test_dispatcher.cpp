@@ -224,6 +224,31 @@ TEST_F(DispatcherTest, ReplayTimeoutRequeuesAndDropsLateDuplicate) {
   EXPECT_EQ(results.value().size(), 1u);  // exactly once
 }
 
+TEST_F(DispatcherTest, ReplayDeadlineCoversTheWholeBundle) {
+  // An executor runs a bundle in sequence and delivers every result at its
+  // end, so no task of the bundle is overdue before the whole bundle's
+  // estimated runtime plus the response timeout has passed.
+  DispatcherConfig config;
+  config.replay.response_timeout_s = 0.5;
+  config.replay.max_retries = 3;
+  config.max_tasks_per_dispatch = 4;
+  Dispatcher dispatcher(clock_, config);
+  auto instance = dispatcher.create_instance(ClientId{1});
+  wire::RegisterRequest reg;
+  auto executor =
+      dispatcher.register_executor(reg, std::make_shared<RecordingSink>());
+  ASSERT_TRUE(instance.ok() && executor.ok());
+  ASSERT_TRUE(dispatcher.submit(instance.value(), sleep_tasks(1, 4, 1.0)).ok());
+  auto work = dispatcher.get_work(executor.value(), 4);
+  ASSERT_TRUE(work.ok());
+  ASSERT_EQ(work.value().size(), 4u);
+
+  clock_.advance(4.4);  // past each task's own 1.5 s, inside the bundle's 4.5 s
+  EXPECT_EQ(dispatcher.check_replays(), 0);
+  clock_.advance(0.2);
+  EXPECT_EQ(dispatcher.check_replays(), 4);
+}
+
 TEST_F(DispatcherTest, DeregisterRequeuesInflightTasks) {
   const InstanceId instance = make_instance();
   const ExecutorId executor = add_executor();

@@ -20,7 +20,6 @@
 #include "core/dispatcher.h"
 #include "core/service_tcp.h"
 #include "ha/async_journal.h"
-#include "ha/failover_client.h"
 #include "ha/journal.h"
 #include "ha/standby.h"
 #include "net/socket.h"
@@ -293,14 +292,14 @@ void run_failover_scenario(bool shared_log, bool streamed_client = false) {
     ASSERT_TRUE(fleet.back()->start().ok());
   }
 
-  FailoverClientOptions copts;
+  core::TcpDispatcherClientOptions copts;
   copts.rpc_port = rpc_port;
   if (streamed_client) copts.push_port = push_port;
   copts.max_attempts = 400;
   copts.backoff_initial_s = 0.01;
   copts.backoff_max_s = 0.2;
   copts.obs = &obs;
-  FailoverClient client(copts);
+  core::TcpDispatcherClient client(copts);
 
   auto instance = client.create_instance(ClientId{1});
   ASSERT_TRUE(instance.ok()) << instance.error().str();
@@ -491,9 +490,9 @@ TEST(HaClient, ResyncsEpochAfterFenceRejection) {
   ASSERT_TRUE(server.start().ok());
   server.set_epoch(3);
 
-  FailoverClientOptions copts;
+  core::TcpDispatcherClientOptions copts;
   copts.rpc_port = server.rpc_port();
-  FailoverClient client(copts);
+  core::TcpDispatcherClient client(copts);
   auto instance = client.create_instance(ClientId{1});
   ASSERT_TRUE(instance.ok());
 
@@ -642,11 +641,11 @@ TEST(HaElection, TwoStandbysExactlyOnePromotes) {
     ASSERT_TRUE(fleet.back()->start().ok());
   }
 
-  FailoverClientOptions copts;
+  core::TcpDispatcherClientOptions copts;
   copts.rpc_port = rpc_port;
   copts.max_attempts = 400;
   copts.obs = &obs;
-  FailoverClient client(copts);
+  core::TcpDispatcherClient client(copts);
   auto instance = client.create_instance(ClientId{1});
   ASSERT_TRUE(instance.ok());
   ASSERT_TRUE(client.submit(instance.value(), sleep_tasks(kTasks, 0.005)).ok());

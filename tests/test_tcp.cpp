@@ -5,6 +5,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -754,6 +755,191 @@ TEST(TcpSharedConnection, ManyExecutorIdsShareOneRpcAndOnePushConnection) {
   EXPECT_EQ(errors, 0);
   EXPECT_GT(heartbeats, 0);
 
+  server.stop();
+  dispatcher.shutdown();
+}
+
+// ---- client reconnect and resubscribe ---------------------------------
+
+TEST(TcpClientRedial, OneAttemptClientRedialsAfterTransportFailure) {
+  // The server cuts the connection instead of sending the second reply.
+  // That call fails; the next one dials a fresh connection and succeeds.
+  RealClock clock;
+  fault::FaultPlan plan;
+  plan.at(fault::Site::kRpcReply, fault::Action::kDrop, 2);
+  fault::FaultInjector fault(plan);
+  Dispatcher dispatcher(clock, DispatcherConfig{});
+  TcpDispatcherServer server(dispatcher);
+  ASSERT_TRUE(server.start(0, 0, &fault).ok());
+
+  auto client = TcpDispatcherClient::connect("127.0.0.1", server.rpc_port());
+  ASSERT_TRUE(client.ok());
+  auto instance = client.value()->create_instance(ClientId{1});
+  ASSERT_TRUE(instance.ok()) << instance.error().str();
+  // The submit reaches the dispatcher; only its reply is lost.
+  EXPECT_FALSE(client.value()->submit(instance.value(), sleep_tasks(10)).ok());
+  auto status = client.value()->status();
+  ASSERT_TRUE(status.ok()) << status.error().str();
+  EXPECT_EQ(status.value().submitted, 10u);
+  EXPECT_EQ(client.value()->reconnects(), 1u);
+
+  // One-attempt clients stamp no submit_seq: a replacement client keeps
+  // submitting to the same instance without being acked as a duplicate.
+  auto replacement =
+      TcpDispatcherClient::connect("127.0.0.1", server.rpc_port());
+  ASSERT_TRUE(replacement.ok());
+  auto accepted =
+      replacement.value()->submit(instance.value(), sleep_tasks(10));
+  ASSERT_TRUE(accepted.ok()) << accepted.error().str();
+  EXPECT_EQ(accepted.value(), 10u);
+  status = client.value()->status();
+  ASSERT_TRUE(status.ok()) << status.error().str();
+  EXPECT_EQ(status.value().submitted, 20u);
+
+  server.stop();
+  dispatcher.shutdown();
+}
+
+TEST(TcpStreamingResume, ClientResubscribesAfterLosingPushConnection) {
+  // A second subscriber for the instance's key makes the push server close
+  // the client's push connection. The client must notice through its
+  // quiet-timeout poll, resubscribe, and stream again.
+  RealClock clock;
+  Dispatcher dispatcher(clock, DispatcherConfig{});
+  TcpDispatcherServer server(dispatcher);
+  ASSERT_TRUE(server.start().ok());
+  TcpExecutorHarness harness(clock, "127.0.0.1", server.rpc_port(),
+                             server.push_port(),
+                             std::make_unique<NoopEngine>(), ExecutorOptions{});
+  ASSERT_TRUE(harness.start().ok());
+  auto client = TcpDispatcherClient::connect("127.0.0.1", server.rpc_port(),
+                                             server.push_port());
+  ASSERT_TRUE(client.ok());
+  auto instance = client.value()->create_instance(ClientId{1});
+  ASSERT_TRUE(instance.ok());
+  ASSERT_TRUE(client.value()->streaming(instance.value()));
+
+  std::set<std::uint64_t> ids;
+  std::uint64_t next_id = 1;
+  // Submits `count` tasks, then waits until all arrive; returns the
+  // longest single wait in seconds.
+  const auto round = [&](int count, double timeout_s) {
+    std::vector<TaskSpec> tasks;
+    for (int i = 0; i < count; ++i) {
+      tasks.push_back(make_sleep_task(TaskId{next_id++}, 0.0));
+    }
+    EXPECT_TRUE(client.value()->submit(instance.value(), tasks).ok());
+    double longest = 0;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (ids.size() + 1 < next_id &&
+           std::chrono::steady_clock::now() < deadline) {
+      const auto t0 = std::chrono::steady_clock::now();
+      auto batch = client.value()->wait_results(instance.value(), 64,
+                                                timeout_s);
+      longest = std::max(longest, std::chrono::duration<double>(
+                                      std::chrono::steady_clock::now() - t0)
+                                      .count());
+      EXPECT_TRUE(batch.ok()) << batch.error().str();
+      if (!batch.ok()) break;
+      for (const auto& result : batch.value()) {
+        EXPECT_TRUE(ids.insert(result.task_id.value).second)
+            << "duplicate task " << result.task_id.value;
+      }
+    }
+    EXPECT_EQ(ids.size() + 1, next_id);
+    return longest;
+  };
+  EXPECT_LT(round(20, 5.0), 2.5);
+
+  // Take the instance's key: the server drops the client's connection and
+  // pushes the next results here, where nobody acknowledges them.
+  auto thief = net::TcpStream::connect("127.0.0.1", server.push_port());
+  ASSERT_TRUE(thief.ok());
+  wire::Notify subscribe;
+  subscribe.executor_id = ExecutorId{kClientKeyBase + instance.value().value};
+  ASSERT_TRUE(
+      wire::write_frame(thief.value(), wire::encode_message(subscribe)).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  // This round sits out one quiet timeout, then polls and resubscribes.
+  (void)round(20, 0.5);
+  EXPECT_TRUE(client.value()->streaming(instance.value()));
+  // The round's results were first pushed to the thief.
+  FrameInbox inbox;
+  int stolen = 0;
+  pollfd readable{thief.value().fd(), POLLIN, 0};
+  while (stolen == 0 && ::poll(&readable, 1, 2000) > 0) {
+    const bool open = inbox.fill(thief.value().fd());
+    inbox.drain([&](std::uint64_t, Result<wire::Message> message) {
+      if (message.ok() &&
+          std::holds_alternative<wire::ResultStream>(message.value())) {
+        ++stolen;
+      }
+    });
+    if (!open) break;
+  }
+  EXPECT_GT(stolen, 0);
+  // Streaming again: no wait comes near its timeout.
+  EXPECT_LT(round(20, 5.0), 2.5);
+  EXPECT_LT(round(20, 5.0), 2.5);
+
+  harness.stop();
+  server.stop();
+  dispatcher.shutdown();
+}
+
+TEST(TcpStreamingConcurrency, OpenLoopSubmitsWhileAnotherThreadDrains) {
+  // The open-loop shape: one thread submits one task at a time while
+  // another drains a streaming wait_results. Neither blocks the other, and
+  // every task arrives exactly once.
+  constexpr std::uint64_t kTasks = 5000;
+  RealClock clock;
+  Dispatcher dispatcher(clock, DispatcherConfig{});
+  TcpDispatcherServer server(dispatcher);
+  ASSERT_TRUE(server.start().ok());
+  std::vector<std::unique_ptr<TcpExecutorHarness>> fleet;
+  for (int i = 0; i < 4; ++i) {
+    fleet.push_back(std::make_unique<TcpExecutorHarness>(
+        clock, "127.0.0.1", server.rpc_port(), server.push_port(),
+        std::make_unique<NoopEngine>(), ExecutorOptions{}));
+    ASSERT_TRUE(fleet.back()->start().ok());
+  }
+  auto client = TcpDispatcherClient::connect("127.0.0.1", server.rpc_port(),
+                                             server.push_port());
+  ASSERT_TRUE(client.ok());
+  auto instance = client.value()->create_instance(ClientId{1});
+  ASSERT_TRUE(instance.ok());
+  ASSERT_TRUE(client.value()->streaming(instance.value()));
+
+  std::atomic<std::uint64_t> submit_failures{0};
+  std::thread submitter([&] {
+    for (std::uint64_t id = 1; id <= kTasks; ++id) {
+      auto accepted = client.value()->submit(
+          instance.value(), {make_sleep_task(TaskId{id}, 0.0)});
+      if (!accepted.ok() || accepted.value() != 1) submit_failures += 1;
+    }
+  });
+  std::set<std::uint64_t> ids;
+  std::uint64_t duplicates = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (ids.size() < kTasks && std::chrono::steady_clock::now() < deadline) {
+    auto batch = client.value()->wait_results(instance.value(), 1024, 0.5);
+    EXPECT_TRUE(batch.ok()) << batch.error().str();
+    if (!batch.ok()) break;
+    for (const auto& result : batch.value()) {
+      if (!ids.insert(result.task_id.value).second) ++duplicates;
+    }
+  }
+  submitter.join();
+  EXPECT_EQ(submit_failures.load(), 0u);
+  EXPECT_EQ(duplicates, 0u);
+  EXPECT_EQ(ids.size(), kTasks);
+  EXPECT_EQ(*ids.begin(), 1u);
+  EXPECT_EQ(*ids.rbegin(), kTasks);
+
+  fleet.clear();
   server.stop();
   dispatcher.shutdown();
 }
