@@ -110,6 +110,11 @@ std::vector<std::string> check_invariants(const RunHistory& history) {
   }
 
   // I8 unique delivery.
+  if (history.client_filtered_duplicates != 0) {
+    violate("I8 unique delivery: the client filtered " +
+            std::to_string(history.client_filtered_duplicates) +
+            " results the dispatcher delivered twice");
+  }
   {
     std::unordered_set<std::uint64_t> seen;
     for (const std::uint64_t id : history.result_ids) {

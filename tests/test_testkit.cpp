@@ -183,6 +183,19 @@ TEST(History, InvariantCheckerFlagsViolations) {
   EXPECT_NE(joined.find("I8 unique delivery"), std::string::npos);
 }
 
+TEST(History, ClientFilteredDuplicatesViolateUniqueDelivery) {
+  RunHistory history;
+  history.backend = "synthetic";
+  history.submitted = 2;
+  history.completed = 2;
+  history.result_ids = {1, 2};
+  history.client_filtered_duplicates = 1;
+  const std::string joined = join_violations(check_invariants(history));
+  EXPECT_NE(joined.find("I8 unique delivery: the client filtered 1"),
+            std::string::npos)
+      << joined;
+}
+
 TEST(History, DoubleAckIsCaught) {
   obs::Tracer tracer(64);
   tracer.instant(TaskId{1}, obs::Stage::kSubmit, 0.0);
